@@ -172,18 +172,6 @@ def _raw(nvars: int, terms: dict) -> LaurentPoly:
     return poly
 
 
-def poly_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def dual(p: LaurentPoly) -> LaurentPoly:
-    return p.dual()
-
-
 @dataclass(frozen=True)
 class EquivParams:
     """One sampled point of the torus parameters.

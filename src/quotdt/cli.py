@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import chern as chern_mod
 from .charalg import EquivParams
-from .errors import QuotDTError
+from .errors import QuotDTError, ZeroWeightError
 from .partitions import enum_colored
 from .series import dt_closed_formula, macmahon, series_pow
 from .toric import (
@@ -432,7 +432,7 @@ def _admissible_params(rank: int, seed: int, probe) -> EquivParams:
         try:
             probe(params)
             return params
-        except QuotDTError as exc:
+        except ZeroWeightError as exc:
             last_error = exc
     raise QuotDTError(f"no admissible parameters after {MAX_SAMPLE_ATTEMPTS} draws: {last_error}")
 

@@ -3,8 +3,8 @@
 A ToricSpace is a list of charts, each carrying three tangent characters in
 Z^3.  Built-in spaces also carry, per chart and per polytope factor, the
 vertex used to linearize a line bundle twist, so split bundles can be built
-from twist tuples.  Invariants are assembled by summing, over all assignments
-of sizes to charts, the product of memoized chart contributions, and are
+from twist tuples.  Invariants are assembled as the product over charts of
+the series 1 + sum_n c_n q^n of memoized chart contributions c_n, and are
 computed at several independently sampled parameter points which must agree
 exactly and be integers.
 """
@@ -24,7 +24,7 @@ from .errors import (
     ParameterDependenceError,
     ZeroWeightError,
 )
-from .partitions import compositions, enum_colored
+from .partitions import enum_colored
 from .series import Series
 from .vertex import ChartWeights, chart_contribution
 
@@ -247,17 +247,12 @@ def _series_values(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             # Warms the memoized contribution cache; assembly below stays sequential.
             list(pool.map(lambda t: chart_contribution(*t), tasks))
-    values = []
-    for n in range(nmax + 1):
-        total = Fraction(0)
-        for sizes in compositions(n, k):
-            prod = Fraction(1)
-            for ci, m in enumerate(sizes):
-                if m:
-                    prod *= chart_contribution(charts[ci], bundle.rank, m, params)
-            total += prod
-        values.append(total)
-    return tuple(values)
+    product = Series.one(nmax)
+    for chart in charts:
+        product = product * Series(
+            (1, *(chart_contribution(chart, bundle.rank, m, params) for m in range(1, nmax + 1)))
+        )
+    return product.coeffs
 
 
 def dt_series(
@@ -327,13 +322,14 @@ def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> in
 
 
 def count_fixed_points(space: ToricSpace, rank: int, n: int) -> int:
-    """Number of torus fixed points with n boxes in total, by direct enumeration."""
-    k = space.num_charts
+    """Number of torus fixed points with n boxes in total.
+
+    Each chart holds any colored plane partition, so the count is the q^n
+    coefficient of the product over charts of sum_m #enum_colored(m) q^m.
+    """
     counts = [len(enum_colored(m, rank)) for m in range(n + 1)]
-    total = 0
-    for sizes in compositions(n, k):
-        prod = 1
-        for m in sizes:
-            prod *= counts[m]
-        total += prod
-    return total
+    totals = [1] + [0] * n
+    for _ in space.charts:
+        # multiply by the chart's series sum_m counts[m] q^m, truncated at q^n
+        totals = [sum(totals[i] * counts[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    return totals[n]

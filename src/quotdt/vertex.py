@@ -9,6 +9,18 @@ partition sitting in the chart determines the virtual tangent character
 
 with f = sum_j w_j, q = sum_j w_j Q_j(t), P(t) = prod_i (1 - t^(a_i)) and
 kappa = t^(a1 + a2 + a3).  See conventions.py for the sign calibration.
+
+The character is built one color pair at a time.  Expanding f and q gives
+T = sum_{j,k} dual(w_j) w_k U_jk with
+
+    U_jk = Q_k - dual(Q_j) / kappa + dual(Q_j) Q_k P(t) / kappa,
+
+which depends only on the boxes of colors j and k.  U_jk is computed in
+formal tangent exponents (x, y, z), standing for t^(x a1 + y a2 + z a3):
+dual(Q_j) Q_k / kappa counts the box differences b' - b - (1, 1, 1), and
+three shift-and-subtract passes multiply it by the factors (1 - t_i) of P.
+Each formal monomial is then mapped to x a1 + y a2 + z a3 + (c_k - c_j) in
+Z^(3 + r), where c_j is the exponent vector of w_j.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 
-from .charalg import EquivParams, LaurentPoly, weight_form
+from .charalg import EquivParams, LaurentPoly, _raw
 from .errors import NonzeroFixedPartError, ZeroWeightError
 from .partitions import ColoredPlanePartition, enum_colored
 
@@ -79,6 +92,31 @@ def symmetry_defect(char: LaurentPoly, chart: ChartWeights) -> LaurentPoly:
     return char + kappa_inverse(chart) * char.dual()
 
 
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _pair_terms(boxes_j, boxes_k) -> dict[Vec3, int]:
+    """U_jk in formal tangent exponents; zero coefficients may remain."""
+    acc: dict[Vec3, int] = {}
+    for x1, y1, z1 in boxes_j:
+        for x2, y2, z2 in boxes_k:
+            key = (x2 - x1 - 1, y2 - y1 - 1, z2 - z1 - 1)
+            acc[key] = acc.get(key, 0) + 1
+    for dx, dy, dz in _AXES:
+        # multiply by (1 - t_i): subtract a copy shifted one step along axis i
+        out = dict(acc)
+        for (x, y, z), c in acc.items():
+            key = (x + dx, y + dy, z + dz)
+            out[key] = out.get(key, 0) - c
+        acc = out
+    for key in boxes_k:
+        acc[key] = acc.get(key, 0) + 1
+    for x, y, z in boxes_j:
+        key = (-x - 1, -y - 1, -z - 1)
+        acc[key] = acc.get(key, 0) - 1
+    return acc
+
+
 @lru_cache(maxsize=None)
 def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> LaurentPoly:
     """Virtual tangent character of a colored plane partition in a chart.
@@ -89,32 +127,24 @@ def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> Laurent
     r = chart.rank
     if cpp.rank != r:
         raise ValueError("colored partition rank does not match chart rank")
-    nv = 3 + r
-    a = [_embed(v, r) for v in chart.tangent]
-
-    one = LaurentPoly.one(nv)
-    p_poly = one
-    for ai in a:
-        p_poly = p_poly * (one - LaurentPoly.monomial(ai))
-    kappa_inv = kappa_inverse(chart)
-
-    f = LaurentPoly.zero(nv)
-    q = LaurentPoly.zero(nv)
-    for j, color in enumerate(chart.colors):
-        w = LaurentPoly.monomial(color)
-        f = f + w
-        boxes = LaurentPoly.zero(nv)
-        for (i, jj, k) in cpp.parts[j]:
-            exps = tuple(i * x + jj * y + k * z for x, y, z in zip(a[0], a[1], a[2]))
-            boxes = boxes + LaurentPoly.monomial(exps)
-        q = q + w * boxes
-
-    t_vir = f.dual() * q - q.dual() * f * kappa_inv + q.dual() * q * p_poly * kappa_inv
-    if t_vir.constant_term != 0:
-        raise NonzeroFixedPartError(
-            f"constant term {t_vir.constant_term} in virtual character"
-        )
-    return t_vir
+    (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = chart.tangent
+    terms: dict[tuple[int, ...], int] = {}
+    for j, cj in enumerate(chart.colors):
+        for k, ck in enumerate(chart.colors):
+            d0, d1, d2, *rest = map(sub, ck, cj)
+            for (x, y, z), c in _pair_terms(cpp.parts[j].boxes, cpp.parts[k].boxes).items():
+                if c:
+                    key = (
+                        x * a10 + y * a20 + z * a30 + d0,
+                        x * a11 + y * a21 + z * a31 + d1,
+                        x * a12 + y * a22 + z * a32 + d2,
+                        *rest,
+                    )
+                    terms[key] = terms.get(key, 0) + c
+    constant = terms.get((0,) * (3 + r), 0)
+    if constant != 0:
+        raise NonzeroFixedPartError(f"constant term {constant} in virtual character")
+    return _raw(3 + r, {e: c for e, c in terms.items() if c})
 
 
 def euler_inverse(char: LaurentPoly, params: EquivParams) -> Fraction:
@@ -126,10 +156,15 @@ def euler_inverse(char: LaurentPoly, params: EquivParams) -> Fraction:
     """
     if char.constant_term != 0:
         raise NonzeroFixedPartError("character has a fixed part; Euler class undefined")
+    if char.nvars != params.nvars:
+        raise ValueError(
+            f"a character in {char.nvars} variables does not match rank {params.rank} parameters"
+        )
+    values = params.s + params.v
     num = 1
     den = 1
-    for exps, coeff in char.terms():
-        w = weight_form(exps, params)
+    for exps, coeff in char._terms.items():
+        w = sum(map(mul, exps, values))
         if w == 0:
             raise ZeroWeightError(f"monomial {exps} has weight zero")
         if coeff > 0:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from quotdt import cli
+from quotdt.errors import NonzeroFixedPartError
 from quotdt.series import Series
 
 
@@ -214,6 +215,24 @@ def test_vertex_rank_two_cross_terms(capsys):
     rows = report["values"]["tables"]["0"]
     box_in_first_color = rows[1]["character"]
     assert [[0, 0, 0, 1, -1], 1] in box_in_first_color
+
+
+def test_vertex_probe_does_not_retry_fixed_part(capsys, monkeypatch):
+    # only a zero weight is a reason to draw new parameters; a nonzero
+    # constant term is an invariant failure and must surface at once
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise NonzeroFixedPartError("constant term 1 in virtual character")
+
+    monkeypatch.setattr(cli, "chart_contribution", broken)
+    code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0")
+    assert len(calls) == 1
+    assert code == 2
+    assert out == ""
+    assert "constant term 1" in err
+    assert "no admissible" not in err
 
 
 def test_chern_command(capsys):

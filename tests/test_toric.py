@@ -1,14 +1,17 @@
 """Localization over whole spaces: frozen invariants and independence checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from quotdt.charalg import EquivParams
 from quotdt.partitions import compositions, enum_colored
 from quotdt.series import dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
     SplitBundle,
     ToricSpace,
+    _series_values,
     builtin_space,
     c3_via_localization,
     chart_of,
@@ -20,6 +23,7 @@ from quotdt.toric import (
     split_bundle,
     trivial_bundle,
 )
+from quotdt.vertex import chart_contribution
 
 # charts of the one-point blow-up of P^3, from its fan: the four simplex cones
 # minus the one at the blown-up point, plus three new cones along the
@@ -186,6 +190,30 @@ def test_count_fixed_points_vs_macmahon_power():
             coeffs = series_pow(macmahon(3), rank * space.num_charts).integer_coeffs()
             for n in range(4):
                 assert count_fixed_points(space, rank, n) == coeffs[n]
+
+
+@pytest.mark.parametrize(
+    "name, twists, nmax",
+    [("p1cubed", ((0, 0, 0),), 4), ("p2xp1", ((0, 0), (1, -1)), 3)],
+)
+def test_series_values_match_composition_sum(name, twists, nmax):
+    # the product of per-chart series against the sum over all assignments
+    # of sizes to charts of the products of chart contributions
+    space = builtin_space(name)
+    bundle = split_bundle(space, twists)
+    params = EquivParams(s=(7, 19, 53), v=(101, 313)[: bundle.rank])
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    want = []
+    for n in range(nmax + 1):
+        total = Fraction(0)
+        for sizes in compositions(n, space.num_charts):
+            prod = Fraction(1)
+            for chart, m in zip(charts, sizes):
+                if m:
+                    prod *= chart_contribution(chart, bundle.rank, m, params)
+            total += prod
+        want.append(total)
+    assert _series_values(space, bundle, nmax, params, threads=1) == tuple(want)
 
 
 def test_count_fixed_points_independent_recount():

@@ -3,6 +3,8 @@
 The one-box characters were derived by hand from the three-term formula and
 are asserted termwise; everything else leans on invariants (symmetry, zero
 constant term, twist cancellation) plus the generic one-box Euler class.
+The box-pair construction of vertex_character is checked against the
+three-term formula evaluated with general LaurentPoly products.
 """
 
 import random
@@ -13,9 +15,10 @@ import pytest
 from quotdt.charalg import EquivParams, LaurentPoly
 from quotdt.errors import NonzeroFixedPartError, ZeroWeightError
 from quotdt.partitions import ColoredPlanePartition, EMPTY_PLANE_PARTITION, PlanePartition, enum_colored
-from quotdt.toric import builtin_space, chart_of, trivial_bundle
+from quotdt.toric import builtin_space, chart_of, split_bundle, trivial_bundle
 from quotdt.vertex import (
     ChartWeights,
+    _embed,
     chart_contribution,
     euler_inverse,
     kappa_inverse,
@@ -36,6 +39,53 @@ def one_box(rank: int = 1, color: int = 0) -> ColoredPlanePartition:
     parts = [EMPTY_PLANE_PARTITION] * rank
     parts[color] = PlanePartition(((0, 0, 0),))
     return ColoredPlanePartition(tuple(parts))
+
+
+def _reference_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> LaurentPoly:
+    """T = dual(f) q - dual(q) f / kappa + dual(q) q P / kappa by LaurentPoly products."""
+    r = chart.rank
+    nv = 3 + r
+    a = [_embed(v, r) for v in chart.tangent]
+
+    one = LaurentPoly.one(nv)
+    p_poly = one
+    for ai in a:
+        p_poly = p_poly * (one - LaurentPoly.monomial(ai))
+    kappa_inv = kappa_inverse(chart)
+
+    f = LaurentPoly.zero(nv)
+    q = LaurentPoly.zero(nv)
+    for j, color in enumerate(chart.colors):
+        w = LaurentPoly.monomial(color)
+        f = f + w
+        boxes = LaurentPoly.zero(nv)
+        for (i, jj, k) in cpp.parts[j]:
+            exps = tuple(i * x + jj * y + k * z for x, y, z in zip(a[0], a[1], a[2]))
+            boxes = boxes + LaurentPoly.monomial(exps)
+        q = q + w * boxes
+
+    return f.dual() * q - q.dual() * f * kappa_inv + q.dual() * q * p_poly * kappa_inv
+
+
+# Twisted bundles per space: rank 1, then rank 2 with summands of unequal twist.
+TWISTS = {
+    "p3": ((1,), (0, 1)),
+    "p2xp1": (((1, -1),), ((0, 0), (1, -1))),
+    "p1cubed": (((1, 0, 2),), ((0, 0, 0), (1, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTS))
+def test_box_pair_character_matches_reference(name):
+    space = builtin_space(name)
+    bundles = [trivial_bundle(space, 1), trivial_bundle(space, 2)]
+    bundles += [split_bundle(space, twists) for twists in TWISTS[name]]
+    for bundle in bundles:
+        for ci in range(space.num_charts):
+            chart = chart_of(space, bundle, ci)
+            for n in range(5):
+                for cpp in enum_colored(n, bundle.rank):
+                    assert vertex_character(cpp, chart) == _reference_character(cpp, chart)
 
 
 def test_empty_partition_has_zero_character():
@@ -160,6 +210,14 @@ def test_euler_inverse_zero_weight():
     char = vertex_character(one_box(), std_chart())
     with pytest.raises(ZeroWeightError):
         euler_inverse(char, EquivParams(s=(1, -1, 5), v=(3,)))
+
+
+def test_euler_inverse_rejects_parameter_rank_mismatch():
+    char = vertex_character(one_box(), std_chart())
+    with pytest.raises(ValueError):
+        euler_inverse(char, EquivParams(s=(1, 3, 7), v=(2, 5)))
+    with pytest.raises(ValueError):
+        euler_inverse(char, EquivParams(s=(1, 3, 7)))
 
 
 def test_euler_inverse_rejects_fixed_part():
