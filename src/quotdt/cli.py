@@ -280,11 +280,21 @@ def parse_twists(descriptor: str, factors: int):
     return tuple(summands)
 
 
+def _determinant(chart) -> int:
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = chart
+    return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+
+
 def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
-        space = ToricSpace("custom", tuple(parse_chart(c) for c in args.chart))
+        charts = tuple(parse_chart(c) for c in args.chart)
+        for index, chart in enumerate(charts):
+            det = _determinant(chart)
+            if det not in (1, -1):
+                raise UsageError(f"chart {index} has determinant {det}; charts must be unimodular")
+        space = ToricSpace("custom", charts)
     elif args.space:
         try:
             space = builtin_space(args.space)
@@ -618,11 +628,29 @@ _DISPATCH = {
 }
 
 
+_CHART_FLAGS = ("--chart", "--bundle-chart")
+
+
+def _attach_chart_values(argv: list[str]) -> list[str]:
+    """Rewrite '--chart -1,0,0;...' as '--chart=-1,0,0;...'.
+
+    argparse reads a separate value that starts with '-' as an option, so a
+    chart whose first weight is negative would be refused.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _CHART_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_chart_values(sys.argv[1:] if argv is None else argv))
         args = merge_config(args)
         if args.seed is None:
             args.seed = 0

@@ -225,11 +225,15 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
                 f"no admissible parameter point after {MAX_SAMPLE_ATTEMPTS} draws"
             )
     first = results[0]
-    for other in results[1:]:
-        if other != first:
+    for trial, other in enumerate(results[1:], start=1):
+        if other == first:
+            continue
+        if isinstance(first, tuple):
+            n = next(i for i, (a, b) in enumerate(zip(first, other)) if a != b)
             raise ParameterDependenceError(
-                f"samples disagree: {first} vs {other}"
+                f"samples 0 and {trial} disagree at coefficient {n}: {first[n]} vs {other[n]}"
             )
+        raise ParameterDependenceError(f"samples 0 and {trial} disagree: {first} vs {other}")
     return first
 
 

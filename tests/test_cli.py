@@ -273,3 +273,40 @@ def test_bundle_chart_explicit_characters(capsys):
         argv += ["--bundle-chart", "0,0,0"]
     report = run_json(capsys, *argv)
     assert report["values"]["series"] == [1, 20]
+
+
+def test_non_unimodular_chart_rejected_at_input(capsys):
+    code, out, err = run(
+        capsys, "toric", "--chart", "2,0,0;0,1,0;0,0,1", "--rank", "1", "--nmax", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "chart 0 has determinant 2" in err
+    code, _, err = run(
+        capsys, "vertex", "--chart", "1,0,0;0,1,0;0,0,1", "--chart", "1,1,0;1,-1,0;0,0,1",
+    )
+    assert code == 1 and "chart 1 has determinant -2" in err
+
+
+def test_chart_values_may_start_with_minus(capsys):
+    # the four charts of P^3, each value a separate argument
+    argv = ["toric", "--nmax", "2"]
+    for chart in (
+        "1,0,0;0,1,0;0,0,1",
+        "-1,0,0;-1,1,0;-1,0,1",
+        "0,-1,0;1,-1,0;0,-1,1",
+        "0,0,-1;1,0,-1;0,1,-1",
+    ):
+        argv += ["--chart", chart]
+    custom = run_json(capsys, *argv)
+    builtin = run_json(capsys, "toric", "--space", "p3", "--nmax", "2")
+    assert custom["inputs"]["charts"][1] == [[-1, 0, 0], [-1, 1, 0], [-1, 0, 1]]
+    assert custom["values"]["series"] == builtin["values"]["series"] == [1, 20, 150]
+
+    # a bundle character that starts with a minus sign: O(-1) on P^3
+    twisted = ["toric", "--space", "p3", "--nmax", "2"]
+    for colors in ("0,0,0", "-1,0,0", "0,-1,0", "0,0,-1"):
+        twisted += ["--bundle-chart", colors]
+    report = run_json(capsys, *twisted)
+    assert report["inputs"]["bundle"][1] == "-1,0,0"
+    assert report["values"]["series"] == [1, 20, 150]

@@ -1,0 +1,54 @@
+"""The README's command lines are the output contract: their stdout bytes are pinned.
+
+Each `quotdt ...` line of a ```sh block in README.md runs through cli.main,
+and the sha256 of its stdout must equal the digest recorded here.  A new
+README command needs its digest added; a changed digest means the report
+bytes changed.
+"""
+
+import hashlib
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from quotdt import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+STDOUT_SHA256 = {
+    "quotdt toric --space p3 --bundle O --nmax 3 --seed 7":
+        "f039f3823bd8fa0d7dd8cf48d14a49b492f8d27aa817760e82758bae98a61f1c",
+    "quotdt toric --space p2xp1 --bundle O2.-1 --nmax 2 --format table":
+        "40d5dc77c683591c6a1660230f55d4fe36f9564cb0416f25ffbd5c8bdbeb70ab",
+    "quotdt vertex --space p3 --rank 2 --nmax 2 --chart-index 0":
+        "cf1797bd9f76c71b6ef6c930bda888abac8f26c8a447df07c8706894a0bef635",
+    "quotdt chern --space pbundle-p2-1":
+        "971758bce9b85dcdd9f32663967f2524ae182ea06b42a1d92cecaf4a079aa222",
+    "quotdt chern --space prod:2.1 --bundle O2.1":
+        "e58ce711404615ad1edf30a459ca20ffc0114f7a2926cd1f6d15636f10534c35",
+    "quotdt cobordism --builtin quadric-dpr":
+        "bc895799008d41f34f0d68911f88ba63ce43aeae228f8a7f99de9376f177945a",
+    "quotdt cobordism --space prod:3 --bundle O2 --rank 1":
+        "93660d5db7a13fc90a8cef7a14aed87994aba42a8bb53616d9b6ae7fec73de4a",
+    "quotdt macmahon --nmax 8 --power -20 --negate-q":
+        "c952f8c596d4a66bd9b82b336a983f8ec375a1fd1dce1bed09fd7a1c271fddad",
+}
+
+
+def readme_commands() -> list[str]:
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("quotdt ")]
+
+
+def test_every_readme_command_is_pinned():
+    assert readme_commands() == list(STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("line", list(STDOUT_SHA256))
+def test_readme_command_stdout_is_unchanged(line, capsys):
+    code = cli.main(shlex.split(line)[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[line]

@@ -1,10 +1,12 @@
-"""Truncated series arithmetic against a naive oracle, plus frozen expansions."""
+"""Truncated series arithmetic against naive oracles, plus frozen expansions."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quotdt import series as series_mod
 from quotdt.errors import NonIntegralError
 from quotdt.series import Series, dt_closed_formula, macmahon, series_pow
 
@@ -22,6 +24,43 @@ def random_series(rng: random.Random, order: int = 6) -> Series:
     return Series(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)
     )
+
+
+# Oracles that share no code with the recurrences: the inverse by long
+# division, powers by square-and-multiply, MacMahon as a product of factors.
+
+
+def _reference_inverse(s: Series) -> Series:
+    a0 = s.coeffs[0]
+    if not a0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    out = [Fraction(1) / a0]
+    for k in range(1, s.order + 1):
+        out.append(-sum(s.coeffs[i] * out[k - i] for i in range(1, k + 1)) / a0)
+    return Series(out)
+
+
+def _reference_pow(s: Series, exponent: int) -> Series:
+    base = s
+    if exponent < 0:
+        base = _reference_inverse(s)
+        exponent = -exponent
+    result = Series.one(s.order)
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        if exponent > 1:
+            base = base * base
+        exponent >>= 1
+    return result
+
+
+def _reference_macmahon(order: int) -> Series:
+    result = Series.one(order)
+    for k in range(1, order + 1):
+        factor = Series.one(order) - Series.monomial(k, order)
+        result = result * _reference_pow(factor, -k)
+    return result
 
 
 def test_mul_matches_naive():
@@ -48,6 +87,75 @@ def test_pow_matches_repeated_mul():
     assert a ** 4 == a * a * a * a
     b = random_series(rng)
     assert (b ** -3) * (b ** 3) == Series.one(b.order)
+
+
+def test_pow_matches_reference_on_random_series():
+    rng = random.Random(2024)
+    for order in range(13):
+        zeros = (0,) * rng.randint(1, 2)
+        cases = [
+            # rational coefficients with a_0 != 1
+            Series(
+                (Fraction(rng.randint(2, 9), rng.randint(1, 9)),)
+                + random_series(rng, order).coeffs[1:]
+            ),
+            # integer coefficients with a_0 = +-1: the int path
+            Series((rng.choice((1, -1)),) + tuple(rng.randint(-5, 5) for _ in range(order))),
+            # a_0 = 0: q^v is factored out for p > 0, p < 0 has no answer
+            Series((zeros + random_series(rng, order).coeffs)[: order + 1]),
+        ]
+        for s in cases:
+            for exponent in range(-25, 26):
+                if not s.coeffs[0] and exponent < 0:
+                    with pytest.raises(ZeroDivisionError):
+                        s ** exponent
+                    continue
+                assert s ** exponent == _reference_pow(s, exponent), (s, exponent)
+
+
+def test_pow_factors_out_leading_zeros():
+    s = Series((0, 0, 3, Fraction(1, 2), 0, 7))
+    assert s ** 2 == Series((0, 0, 0, 0, 9, 3))
+    assert s ** 3 == Series((0,) * 6)
+    assert s ** 0 == Series.one(5)
+    assert Series((0, 0, 0)) ** 2 == Series((0, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        s ** -1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=7
+    ).filter(lambda cs: cs[0] != 0),
+    a=st.integers(-6, 6),
+    b=st.integers(-6, 6),
+)
+def test_power_laws(coeffs, a, b):
+    s = Series(coeffs)
+    assert s ** a * s ** b == s ** (a + b)
+
+
+def test_macmahon_matches_product_form():
+    reference = _reference_macmahon(40).coeffs
+    for order in range(41):
+        assert macmahon(order).coeffs == reference[: order + 1]
+
+
+def test_macmahon_power_matches_reference():
+    # the closed-form benchmark workload, against an oracle built from scratch
+    reference = _reference_macmahon(60)
+    assert series_pow(macmahon(60), -20) == _reference_pow(reference, -20)
+    for exponent in (1, -1, 4):
+        assert series_pow(macmahon(60), exponent) == _reference_pow(reference, exponent)
+
+
+def test_macmahon_division_is_checked(monkeypatch):
+    # a wrong divisor sum makes 2 a_2 = 1 odd; the division must not floor it
+    wrong = lambda order: [0, 1] + [0] * (order - 1)
+    monkeypatch.setattr(series_mod, "_divisor_square_sums", wrong)
+    with pytest.raises(NonIntegralError, match=r"q\^2"):
+        macmahon(3)
 
 
 def test_macmahon_coefficients():

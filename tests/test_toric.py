@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from quotdt import toric
 from quotdt.charalg import EquivParams
+from quotdt.errors import ParameterDependenceError
 from quotdt.partitions import compositions, enum_colored
 from quotdt.series import dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
@@ -246,3 +248,20 @@ def test_negative_nmax_rejected():
     p3 = builtin_space("p3")
     with pytest.raises(ValueError):
         dt_series(p3, trivial_bundle(p3), -1)
+
+
+def test_parameter_dependence_names_first_differing_coefficient(monkeypatch):
+    p3 = builtin_space("p3")
+    samples = iter([(1, 20, 150, 400), (1, 20, Fraction(301, 2), 401)])
+    monkeypatch.setattr(toric, "_series_values", lambda *args: next(samples))
+    with pytest.raises(ParameterDependenceError) as info:
+        dt_series(p3, trivial_bundle(p3), 3)
+    message = str(info.value)
+    assert "at coefficient 2: 150 vs 301/2" in message
+    assert "400" not in message and "401" not in message
+
+
+def test_parameter_dependence_names_scalar_values():
+    values = iter([Fraction(-20), Fraction(-18), Fraction(-20)])
+    with pytest.raises(ParameterDependenceError, match=r"samples 0 and 1 disagree: -20 vs -18$"):
+        toric._evaluate_at_samples(0, 0, 3, lambda params: next(values))
