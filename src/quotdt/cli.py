@@ -280,21 +280,14 @@ def parse_twists(descriptor: str, factors: int):
     return tuple(summands)
 
 
-def _determinant(chart) -> int:
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = chart
-    return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
-
-
 def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
-        charts = tuple(parse_chart(c) for c in args.chart)
-        for index, chart in enumerate(charts):
-            det = _determinant(chart)
-            if det not in (1, -1):
-                raise UsageError(f"chart {index} has determinant {det}; charts must be unimodular")
-        space = ToricSpace("custom", charts)
+        try:
+            space = ToricSpace("custom", tuple(parse_chart(c) for c in args.chart))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     elif args.space:
         try:
             space = builtin_space(args.space)
@@ -635,11 +628,24 @@ def _attach_chart_values(argv: list[str]) -> list[str]:
     """Rewrite '--chart -1,0,0;...' as '--chart=-1,0,0;...'.
 
     argparse reads a separate value that starts with '-' as an option, so a
-    chart whose first weight is negative would be refused.
+    chart whose first weight is negative would be refused.  A flag names a
+    chart option the way argparse resolves it: exactly, or as the unique
+    prefix of one of the command's long options.
     """
+    command = next((token for token in argv if token in _COMMAND_OPTS), None)
+    if command is None:
+        return argv
+    flags = ["--help"] + ["--" + key.replace("_", "-") for key in _COMMAND_OPTS[command]]
+
+    def names_chart(flag: str) -> bool:
+        if flag in flags:
+            return flag in _CHART_FLAGS
+        matches = [f for f in flags if f.startswith(flag)]
+        return flag.startswith("--") and len(matches) == 1 and matches[0] in _CHART_FLAGS
+
     out = []
     for token in argv:
-        if out and out[-1] in _CHART_FLAGS and token[:1] == "-" and token[1:2].isdigit():
+        if out and token[:1] == "-" and token[1:2].isdigit() and names_chart(out[-1]):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

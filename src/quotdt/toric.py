@@ -50,9 +50,15 @@ class ToricSpace:
     def __post_init__(self):
         if not self.charts:
             raise ValueError("a toric space needs at least one chart")
-        for chart in self.charts:
+        for index, chart in enumerate(self.charts):
             if len(chart) != 3 or any(len(v) != 3 for v in chart):
                 raise ValueError("each chart needs three tangent characters in Z^3")
+            (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = chart
+            det = a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+            if det not in (1, -1):
+                raise ValueError(
+                    f"chart {index} has determinant {det}; charts must be unimodular"
+                )
         if self.twist_vertices is not None and len(self.twist_vertices) != len(self.charts):
             raise ValueError("twist vertex data must match the chart list")
 

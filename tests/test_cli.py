@@ -310,3 +310,17 @@ def test_chart_values_may_start_with_minus(capsys):
     report = run_json(capsys, *twisted)
     assert report["inputs"]["bundle"][1] == "-1,0,0"
     assert report["values"]["series"] == [1, 20, 150]
+
+    # abbreviated flags resolve as argparse resolves them
+    abbreviated = ["toric", "--nmax", "2"]
+    for chart in ("1,0,0;0,1,0;0,0,1", "-1,0,0;-1,1,0;-1,0,1"):
+        abbreviated += ["--char", chart]
+    abbreviated += ["--chart", "0,-1,0;1,-1,0;0,-1,1", "--ch", "0,0,-1;1,0,-1;0,1,-1"]
+    assert run_json(capsys, *abbreviated)["values"]["series"] == [1, 20, 150]
+    short_bundle = ["toric", "--space", "p3", "--nmax", "2"]
+    for colors in ("0,0,0", "-1,0,0", "0,-1,0", "0,0,-1"):
+        short_bundle += ["--bundle-ch", colors]
+    assert run_json(capsys, *short_bundle)["inputs"]["bundle"][1] == "-1,0,0"
+    # on vertex, --char is ambiguous with --chart-index and stays an error
+    code, _, err = run(capsys, "vertex", "--char", "-1,0,0;-1,1,0;-1,0,1")
+    assert code == 1 and "ambiguous" in err

@@ -153,6 +153,16 @@ def test_custom_space_has_no_polytope_data():
         split_bundle(space, [1])
 
 
+def test_non_unimodular_chart_rejected_at_construction():
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="chart 0 has determinant 2"):
+        ToricSpace("x", (((2, 0, 0), (0, 1, 0), (0, 0, 1)),))
+    with pytest.raises(ValueError, match="chart 1 has determinant 0"):
+        ToricSpace("x", (identity, ((1, 0, 0), (1, 0, 0), (0, 0, 1))))
+    # an orientation-reversing chart is unimodular
+    assert ToricSpace("x", (((0, 1, 0), (1, 0, 0), (0, 0, 1)),)).num_charts == 1
+
+
 def test_split_bundle_validation():
     p3 = builtin_space("p3")
     bundle = split_bundle(p3, [1])
