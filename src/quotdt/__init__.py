@@ -5,125 +5,87 @@ contributes the inverse equivariant Euler class of its virtual tangent
 character, and the weighted count is an integer matching the closed formula
 M((-1)^r q)^(r * c3(T tensor K)).  Everything is exact: big integers,
 Fractions, and sparse Laurent polynomials; no floats anywhere.
+
+The names below are imported from their modules on first access (PEP 562),
+so `import quotdt.cli` loads only the modules a command uses.
 """
 
-from .charalg import EquivParams, LaurentPoly, weight_form
-from .chern import (
-    BundleClass,
-    ChernRing,
-    basis_matrix,
-    blowup_p3_conic,
-    c3_t_omega,
-    decompose,
-    dpr_check,
-    euler_characteristic,
-    mixed_chern_vector,
-    mixed_monomials,
-    named_ring,
-    normal_cone_dpr,
-    phi_class,
-    projective_bundle_ring,
-    quadric_dpr,
-    quadric_threefold,
-    reconstruct,
-    ring_of_projective_product,
-    trivial_bundle_class,
-)
-from .errors import (
-    NonIntegralError,
-    NonzeroFixedPartError,
-    ParameterDependenceError,
-    QuotDTError,
-    SingularBasisMatrixError,
-    ZeroWeightError,
-)
-from .partitions import (
-    ColoredPlanePartition,
-    PartitionPair,
-    PlanePartition,
-    count_plane_partitions,
-    enum_colored,
-    enum_partition_pairs,
-    enum_plane_partitions,
-    partitions_of,
-)
-from .series import Series, dt_closed_formula, macmahon, series_pow
-from .toric import (
-    SplitBundle,
-    ToricSpace,
-    builtin_space,
-    c3_via_localization,
-    chart_of,
-    count_fixed_points,
-    dt_invariant,
-    dt_series,
-    split_bundle,
-    trivial_bundle,
-)
-from .vertex import (
-    ChartWeights,
-    chart_contribution,
-    euler_inverse,
-    symmetry_defect,
-    vertex_character,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleClass",
-    "ChartWeights",
-    "ChernRing",
-    "ColoredPlanePartition",
-    "EquivParams",
-    "LaurentPoly",
-    "NonIntegralError",
-    "NonzeroFixedPartError",
-    "ParameterDependenceError",
-    "PartitionPair",
-    "PlanePartition",
-    "QuotDTError",
-    "Series",
-    "SingularBasisMatrixError",
-    "SplitBundle",
-    "ToricSpace",
-    "ZeroWeightError",
-    "basis_matrix",
-    "blowup_p3_conic",
-    "builtin_space",
-    "c3_t_omega",
-    "c3_via_localization",
-    "chart_contribution",
-    "chart_of",
-    "count_fixed_points",
-    "count_plane_partitions",
-    "decompose",
-    "dpr_check",
-    "dt_closed_formula",
-    "dt_invariant",
-    "dt_series",
-    "enum_colored",
-    "enum_partition_pairs",
-    "enum_plane_partitions",
-    "euler_characteristic",
-    "euler_inverse",
-    "macmahon",
-    "mixed_chern_vector",
-    "mixed_monomials",
-    "named_ring",
-    "normal_cone_dpr",
-    "partitions_of",
-    "phi_class",
-    "projective_bundle_ring",
-    "quadric_dpr",
-    "quadric_threefold",
-    "reconstruct",
-    "ring_of_projective_product",
-    "series_pow",
-    "split_bundle",
-    "symmetry_defect",
-    "trivial_bundle",
-    "trivial_bundle_class",
-    "vertex_character",
-    "weight_form",
-]
+_EXPORTS = {
+    "charalg": ("EquivParams", "LaurentPoly", "weight_form"),
+    "chern": (
+        "BundleClass",
+        "ChernRing",
+        "basis_matrix",
+        "blowup_p3_conic",
+        "c3_t_omega",
+        "decompose",
+        "dpr_check",
+        "euler_characteristic",
+        "mixed_chern_vector",
+        "mixed_monomials",
+        "named_ring",
+        "normal_cone_dpr",
+        "phi_class",
+        "projective_bundle_ring",
+        "quadric_dpr",
+        "quadric_threefold",
+        "reconstruct",
+        "ring_of_projective_product",
+        "trivial_bundle_class",
+    ),
+    "errors": (
+        "NonIntegralError",
+        "NonzeroFixedPartError",
+        "ParameterDependenceError",
+        "QuotDTError",
+        "SingularBasisMatrixError",
+        "ZeroWeightError",
+    ),
+    "partitions": (
+        "ColoredPlanePartition",
+        "PartitionPair",
+        "PlanePartition",
+        "count_plane_partitions",
+        "enum_colored",
+        "enum_partition_pairs",
+        "enum_plane_partitions",
+        "partitions_of",
+    ),
+    "series": ("Series", "dt_closed_formula", "macmahon", "series_pow"),
+    "toric": (
+        "SplitBundle",
+        "ToricSpace",
+        "builtin_space",
+        "c3_via_localization",
+        "chart_of",
+        "count_fixed_points",
+        "dt_invariant",
+        "dt_series",
+        "split_bundle",
+        "trivial_bundle",
+    ),
+    "vertex": (
+        "ChartWeights",
+        "chart_contribution",
+        "chart_sums",
+        "euler_inverse",
+        "symmetry_defect",
+        "vertex_character",
+    ),
+}
+
+# One name -> module table for the lazy lookup.
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

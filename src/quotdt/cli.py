@@ -21,9 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import chern as chern_mod
-from .charalg import EquivParams
-from .errors import QuotDTError, ZeroWeightError
+from .errors import QuotDTError
 from .partitions import enum_colored
 from .series import dt_closed_formula, macmahon, series_pow
 from .toric import (
@@ -33,20 +31,18 @@ from .toric import (
     c3_via_localization,
     chart_of,
     count_fixed_points,
+    draw_admissible,
     dt_series,
     resolve_threads,
-    sample_params,
     split_bundle,
     trivial_bundle,
 )
-from .vertex import chart_contribution, symmetry_defect, vertex_character
+from .vertex import chart_sums, symmetry_defect, vertex_character
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
-
-MAX_SAMPLE_ATTEMPTS = 32
 
 
 class UsageError(Exception):
@@ -107,7 +103,9 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--seed", type=int, help="RNG seed recorded in the report")
     sub.add_argument("--trials", type=int, help="independent parameter samples (>= 2)")
-    sub.add_argument("--threads", type=int, help="worker pool cap; QUOTDT_THREADS as fallback")
+    sub.add_argument(
+        "--threads", type=int, help="accepted and echoed (>= 1); QUOTDT_THREADS as fallback"
+    )
     sub.add_argument("--format", choices=("table", "json"), help="report format")
     sub.add_argument("--timing", action="store_true", help="include elapsed_ms in the report")
 
@@ -321,7 +319,9 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
     return space, bundle
 
 
-def resolve_ring(name: str) -> chern_mod.ChernRing:
+def resolve_ring(name: str):
+    from . import chern as chern_mod
+
     if name is None:
         raise UsageError("a ring is required: --space")
     try:
@@ -333,7 +333,9 @@ def resolve_ring(name: str) -> chern_mod.ChernRing:
         raise UsageError(str(exc)) from None
 
 
-def resolve_ring_bundle(args) -> tuple[chern_mod.ChernRing, chern_mod.BundleClass]:
+def resolve_ring_bundle(args):
+    from . import chern as chern_mod
+
     ring = resolve_ring(args.space)
     if not args.bundle:
         return ring, chern_mod.trivial_bundle_class(ring, args.rank or 1)
@@ -396,7 +398,7 @@ def cmd_toric(args) -> tuple[dict, int]:
         raise UsageError("toric needs --nmax")
     space, bundle = resolve_space_bundle(args)
     threads = resolve_threads(args.threads)
-    series = dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials, threads=threads)
+    series = dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials)
     coeffs = list(series.integer_coeffs())
     c3 = c3_via_localization(space, seed=args.seed, trials=args.trials)
     closed = list(dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs())
@@ -427,19 +429,6 @@ def cmd_toric(args) -> tuple[dict, int]:
     return report, EXIT_OK if matched else EXIT_MISMATCH
 
 
-def _admissible_params(rank: int, seed: int, probe) -> EquivParams:
-    rng = random.Random(seed)
-    last_error = None
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        params = sample_params(rank, rng)
-        try:
-            probe(params)
-            return params
-        except ZeroWeightError as exc:
-            last_error = exc
-    raise QuotDTError(f"no admissible parameters after {MAX_SAMPLE_ATTEMPTS} draws: {last_error}")
-
-
 def cmd_vertex(args) -> tuple[dict, int]:
     space, bundle = resolve_space_bundle(args)
     nmax = 1 if args.nmax is None else args.nmax
@@ -448,20 +437,17 @@ def cmd_vertex(args) -> tuple[dict, int]:
     indices = (
         range(space.num_charts) if args.chart_index is None else (args.chart_index,)
     )
-    charts = {ci: chart_of(space, bundle, ci) for ci in indices}
+    charts = [chart_of(space, bundle, ci) for ci in indices]
 
     def probe(params):
-        for ci in indices:
-            for n in range(1, nmax + 1):
-                chart_contribution(charts[ci], bundle.rank, n, params)
+        return [chart_sums(charts, bundle.rank, n, params) for n in range(1, nmax + 1)]
 
-    params = _admissible_params(bundle.rank, args.seed, probe)
+    params, sums = draw_admissible(bundle.rank, random.Random(args.seed), probe)
 
     symmetric = True
     tables = {}
     contributions = {}
-    for ci in indices:
-        chart = charts[ci]
+    for position, (ci, chart) in enumerate(zip(indices, charts)):
         rows = []
         for n in range(nmax + 1):
             for cpp in enum_colored(n, bundle.rank):
@@ -475,9 +461,7 @@ def cmd_vertex(args) -> tuple[dict, int]:
                     }
                 )
         tables[str(ci)] = rows
-        contributions[str(ci)] = [
-            chart_contribution(chart, bundle.rank, n, params) for n in range(1, nmax + 1)
-        ]
+        contributions[str(ci)] = [row[position] for row in sums]
 
     inputs = {
         "space": space.name,
@@ -515,6 +499,8 @@ def _monomial_label(a, b) -> str:
 
 
 def cmd_chern(args) -> tuple[dict, int]:
+    from . import chern as chern_mod
+
     ring, bundle = resolve_ring_bundle(args)
     vector = chern_mod.mixed_chern_vector(ring, bundle)
     labels = [_monomial_label(a, b) for a, b in chern_mod.mixed_monomials(bundle.rank)]
@@ -541,6 +527,8 @@ def cmd_chern(args) -> tuple[dict, int]:
 
 
 def cmd_cobordism(args) -> tuple[dict, int]:
+    from . import chern as chern_mod
+
     if args.builtin and args.space:
         raise UsageError("give either --builtin or --space, not both")
     if args.builtin:

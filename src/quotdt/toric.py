@@ -4,16 +4,16 @@ A ToricSpace is a list of charts, each carrying three tangent characters in
 Z^3.  Built-in spaces also carry, per chart and per polytope factor, the
 vertex used to linearize a line bundle twist, so split bundles can be built
 from twist tuples.  Invariants are assembled as the product over charts of
-the series 1 + sum_n c_n q^n of memoized chart contributions c_n, and are
-computed at several independently sampled parameter points which must agree
-exactly and be integers.
+the series 1 + sum_n c_n q^n of the chart sums c_n, which vertex.chart_sums
+computes for all charts at once, one size n at a time.  They are computed at
+several independently sampled parameter points, drawn by one loop
+(draw_admissible), which must agree exactly and be integers.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .partitions import enum_colored
 from .series import Series
-from .vertex import ChartWeights, chart_contribution
+from .vertex import ChartWeights, chart_sums, determinant
 
 Vec3 = tuple[int, int, int]
 
@@ -51,10 +51,7 @@ class ToricSpace:
         if not self.charts:
             raise ValueError("a toric space needs at least one chart")
         for index, chart in enumerate(self.charts):
-            if len(chart) != 3 or any(len(v) != 3 for v in chart):
-                raise ValueError("each chart needs three tangent characters in Z^3")
-            (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = chart
-            det = a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+            det = determinant(chart)
             if det not in (1, -1):
                 raise ValueError(
                     f"chart {index} has determinant {det}; charts must be unimodular"
@@ -212,24 +209,29 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
+def draw_admissible(rank: int, rng: random.Random, compute):
+    """Draw parameter points until compute succeeds; return the point and its value.
+
+    A ZeroWeightError means the point is inadmissible and another is drawn.
+    After MAX_SAMPLE_ATTEMPTS draws the error names the last failure.
+    """
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        params = sample_params(rank, rng)
+        try:
+            return params, compute(params)
+        except ZeroWeightError as exc:
+            last = exc
+    raise ZeroWeightError(
+        f"no admissible parameter point after {MAX_SAMPLE_ATTEMPTS} draws; the last failed at {last}"
+    )
+
+
 def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     """Run compute at `trials` admissible parameter points; results must agree."""
     if trials < 2:
         raise ValueError("at least two independent samples are required")
     rng = random.Random(seed)
-    results = []
-    for _ in range(trials):
-        for _attempt in range(MAX_SAMPLE_ATTEMPTS):
-            params = sample_params(rank, rng)
-            try:
-                results.append(compute(params))
-                break
-            except ZeroWeightError:
-                continue
-        else:
-            raise ZeroWeightError(
-                f"no admissible parameter point after {MAX_SAMPLE_ATTEMPTS} draws"
-            )
+    results = [draw_admissible(rank, rng, compute)[1] for _ in range(trials)]
     first = results[0]
     for trial, other in enumerate(results[1:], start=1):
         if other == first:
@@ -244,24 +246,13 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
 
 
 def _series_values(
-    space: ToricSpace,
-    bundle: SplitBundle,
-    nmax: int,
-    params: EquivParams,
-    threads: int,
+    space: ToricSpace, bundle: SplitBundle, nmax: int, params: EquivParams
 ) -> tuple[Fraction, ...]:
-    k = space.num_charts
-    charts = [chart_of(space, bundle, ci) for ci in range(k)]
-    if threads > 1:
-        tasks = [(charts[ci], bundle.rank, m, params) for ci in range(k) for m in range(1, nmax + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # Warms the memoized contribution cache; assembly below stays sequential.
-            list(pool.map(lambda t: chart_contribution(*t), tasks))
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    sums = [chart_sums(charts, bundle.rank, n, params) for n in range(1, nmax + 1)]
     product = Series.one(nmax)
-    for chart in charts:
-        product = product * Series(
-            (1, *(chart_contribution(chart, bundle.rank, m, params) for m in range(1, nmax + 1)))
-        )
+    for chart_values in zip(*sums):
+        product = product * Series((1, *chart_values))
     return product.coeffs
 
 
@@ -273,15 +264,16 @@ def dt_series(
     trials: int = 2,
     threads: int | None = None,
 ) -> Series:
-    """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers."""
+    """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers.
+
+    threads is checked (at least 1) and otherwise ignored: the sum runs in
+    one thread, since a thread pool never paid for this pure-Python work.
+    """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    nthreads = resolve_threads(threads)
+    resolve_threads(threads)
     values = _evaluate_at_samples(
-        bundle.rank,
-        seed,
-        trials,
-        lambda p: _series_values(space, bundle, nmax, p, nthreads),
+        bundle.rank, seed, trials, lambda p: _series_values(space, bundle, nmax, p)
     )
     series = Series(values)
     coeffs = series.integer_coeffs()
@@ -312,10 +304,10 @@ def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> in
 
     def compute(params: EquivParams) -> Fraction:
         total = Fraction(0)
-        for chart in space.charts:
+        for index, chart in enumerate(space.charts):
             ws = [weight_form(v, params) for v in chart]
             if any(w == 0 for w in ws):
-                raise ZeroWeightError("tangent weight vanished")
+                raise ZeroWeightError(f"chart {index}: a tangent weight is zero")
             sigma = sum(ws)
             num = 1
             den = 1

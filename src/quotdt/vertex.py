@@ -19,8 +19,19 @@ which depends only on the boxes of colors j and k.  U_jk is computed in
 formal tangent exponents (x, y, z), standing for t^(x a1 + y a2 + z a3):
 dual(Q_j) Q_k / kappa counts the box differences b' - b - (1, 1, 1), and
 three shift-and-subtract passes multiply it by the factors (1 - t_i) of P.
-Each formal monomial is then mapped to x a1 + y a2 + z a3 + (c_k - c_j) in
-Z^(3 + r), where c_j is the exponent vector of w_j.
+These formal terms, with the diagonal pairs j = k merged, are the formal
+character of the partition; it is the same for every chart, and its
+constant term is checked once.  A chart enters only through the
+substitution of each formal monomial by x a1 + y a2 + z a3 + (c_k - c_j) in
+Z^(3 + r), where c_j is the exponent vector of w_j.  Charts must be
+unimodular and each c_j must end in the unit vector of u_j; then the
+substitution is injective, so it needs no merging and no second constant
+check.
+
+chart_sums loops over partitions on the outside and charts on the inside,
+so each formal character is built once for all charts and held in a
+one-entry memo.  vertex_character and chart_contribution keep their
+process-lifetime caches.
 """
 
 from __future__ import annotations
@@ -37,6 +48,14 @@ from .partitions import ColoredPlanePartition, enum_colored
 Vec3 = tuple[int, int, int]
 
 
+def determinant(vectors) -> int:
+    """Determinant of three vectors in Z^3; ValueError for any other shape."""
+    if len(vectors) != 3 or any(len(v) != 3 for v in vectors):
+        raise ValueError("a chart needs three tangent characters in Z^3")
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vectors
+    return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+
+
 @dataclass(frozen=True)
 class ChartWeights:
     """Tangent and color characters of one chart.
@@ -49,14 +68,17 @@ class ChartWeights:
     colors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.tangent) != 3:
-            raise ValueError("a chart has exactly three tangent characters")
+        det = determinant(self.tangent)
+        if det not in (1, -1):
+            raise ValueError(f"tangent characters have determinant {det}; charts must be unimodular")
         r = len(self.colors)
         if r < 1:
             raise ValueError("at least one color is required")
-        for c in self.colors:
+        for j, c in enumerate(self.colors):
             if len(c) != 3 + r:
                 raise ValueError("color exponents must have length 3 + rank")
+            if c[3:] != tuple(int(i == j) for i in range(r)):
+                raise ValueError(f"color {j} must end in the unit vector of u_{j}")
 
     @property
     def rank(self) -> int:
@@ -117,34 +139,59 @@ def _pair_terms(boxes_j, boxes_k) -> dict[Vec3, int]:
     return acc
 
 
+@lru_cache(maxsize=1)
+def _formal_character(cpp: ColoredPlanePartition):
+    """The chart-free character of a colored partition: (j, k, terms) per color pair.
+
+    terms holds the nonzero (x, y, z) -> coefficient items of U_jk.  The
+    diagonal pairs j = k all land on the color part 0, so they are merged
+    into one entry (0, 0, terms).  One entry is memoized: a partition-outer
+    loop asks for the same partition once per chart, then moves on.
+    """
+    diagonal: dict[Vec3, int] = {}
+    for part in cpp.parts:
+        for key, c in _pair_terms(part.boxes, part.boxes).items():
+            diagonal[key] = diagonal.get(key, 0) + c
+    constant = diagonal.get((0, 0, 0), 0)
+    if constant != 0:
+        raise NonzeroFixedPartError(f"constant term {constant} in virtual character")
+    pairs = [(0, 0, tuple((e, c) for e, c in diagonal.items() if c))]
+    for j, part_j in enumerate(cpp.parts):
+        for k, part_k in enumerate(cpp.parts):
+            if j != k:
+                terms = _pair_terms(part_j.boxes, part_k.boxes)
+                pairs.append((j, k, tuple((e, c) for e, c in terms.items() if c)))
+    return tuple(pairs)
+
+
 @lru_cache(maxsize=None)
 def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> LaurentPoly:
     """Virtual tangent character of a colored plane partition in a chart.
 
-    Raises NonzeroFixedPartError if the constant term is nonzero, which would
+    Substitutes the chart into the formal character.  Raises
+    NonzeroFixedPartError if the constant term is nonzero, which would
     contradict virtual dimension zero.
     """
     r = chart.rank
     if cpp.rank != r:
         raise ValueError("colored partition rank does not match chart rank")
     (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = chart.tangent
+    colors = chart.colors
     terms: dict[tuple[int, ...], int] = {}
-    for j, cj in enumerate(chart.colors):
-        for k, ck in enumerate(chart.colors):
-            d0, d1, d2, *rest = map(sub, ck, cj)
-            for (x, y, z), c in _pair_terms(cpp.parts[j].boxes, cpp.parts[k].boxes).items():
-                if c:
-                    key = (
-                        x * a10 + y * a20 + z * a30 + d0,
-                        x * a11 + y * a21 + z * a31 + d1,
-                        x * a12 + y * a22 + z * a32 + d2,
-                        *rest,
-                    )
-                    terms[key] = terms.get(key, 0) + c
-    constant = terms.get((0,) * (3 + r), 0)
-    if constant != 0:
-        raise NonzeroFixedPartError(f"constant term {constant} in virtual character")
-    return _raw(3 + r, {e: c for e, c in terms.items() if c})
+    for j, k, pair in _formal_character(cpp):
+        d0, d1, d2, *rest = map(sub, colors[k], colors[j])
+        # The chart is unimodular and the color parts e_k - e_j differ
+        # between pairs, so no two formal monomials share an exponent.
+        terms.update({
+            (
+                x * a10 + y * a20 + z * a30 + d0,
+                x * a11 + y * a21 + z * a31 + d1,
+                x * a12 + y * a22 + z * a32 + d2,
+                *rest,
+            ): c
+            for (x, y, z), c in pair
+        })
+    return _raw(3 + r, terms)
 
 
 def euler_inverse(char: LaurentPoly, params: EquivParams) -> Fraction:
@@ -174,14 +221,28 @@ def euler_inverse(char: LaurentPoly, params: EquivParams) -> Fraction:
     return Fraction(num, den)
 
 
-@lru_cache(maxsize=None)
-def chart_contribution(chart: ChartWeights, rank: int, n: int, params: EquivParams) -> Fraction:
-    """Sum of inverse Euler classes over all colored plane partitions of size n."""
-    if rank != chart.rank:
+def chart_sums(charts, rank: int, n: int, params: EquivParams) -> list[Fraction]:
+    """Per chart, the sum of inverse Euler classes over colored partitions of size n.
+
+    The partitions are the outer loop, so each one's formal character is
+    built once and substituted into every chart.  A ZeroWeightError names
+    the failing chart by its position in charts, and n.
+    """
+    if any(chart.rank != rank for chart in charts):
         raise ValueError("rank does not match chart data")
     if params.rank != rank:
         raise ValueError("parameter rank does not match chart rank")
-    total = Fraction(0)
-    for cpp in enum_colored(n, rank):
-        total += euler_inverse(vertex_character(cpp, chart), params)
-    return total
+    totals = [Fraction(0)] * len(charts)
+    try:
+        for cpp in enum_colored(n, rank):
+            for i, chart in enumerate(charts):
+                totals[i] += euler_inverse(vertex_character(cpp, chart), params)
+    except ZeroWeightError as exc:
+        raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
+    return totals
+
+
+@lru_cache(maxsize=None)
+def chart_contribution(chart: ChartWeights, rank: int, n: int, params: EquivParams) -> Fraction:
+    """Sum of inverse Euler classes over all colored plane partitions of size n."""
+    return chart_sums((chart,), rank, n, params)[0]

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quotdt import cli
+from quotdt import cli, toric
+from quotdt.charalg import EquivParams
 from quotdt.errors import NonzeroFixedPartError
 from quotdt.series import Series
 
@@ -226,7 +231,7 @@ def test_vertex_probe_does_not_retry_fixed_part(capsys, monkeypatch):
         calls.append(args)
         raise NonzeroFixedPartError("constant term 1 in virtual character")
 
-    monkeypatch.setattr(cli, "chart_contribution", broken)
+    monkeypatch.setattr(cli, "chart_sums", broken)
     code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0")
     assert len(calls) == 1
     assert code == 2
@@ -324,3 +329,30 @@ def test_chart_values_may_start_with_minus(capsys):
     # on vertex, --char is ambiguous with --chart-index and stays an error
     code, _, err = run(capsys, "vertex", "--char", "-1,0,0;-1,1,0;-1,0,1")
     assert code == 1 and "ambiguous" in err
+
+
+def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
+    monkeypatch.setattr(toric, "sample_params", lambda rank, rng: EquivParams((1, -1, 5), (3,)))
+    code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "2")
+    assert code == 2
+    assert out == ""
+    assert "after 32 draws" in err
+    assert "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero" in err
+
+
+def test_cli_import_skips_unused_modules():
+    # chern is imported only by the chern and cobordism commands, and the
+    # package resolves its re-exports on first access
+    code = (
+        "import sys, quotdt.cli, quotdt; "
+        "assert 'quotdt.chern' not in sys.modules, 'chern'; "
+        "assert 'concurrent.futures' not in sys.modules, 'futures'; "
+        "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__); "
+        "assert quotdt.named_ring.__module__ == 'quotdt.chern'"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ import pytest
 
 from quotdt import toric
 from quotdt.charalg import EquivParams
-from quotdt.errors import ParameterDependenceError
+from quotdt.errors import ParameterDependenceError, ZeroWeightError
 from quotdt.partitions import compositions, enum_colored
 from quotdt.series import dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
@@ -25,7 +25,7 @@ from quotdt.toric import (
     split_bundle,
     trivial_bundle,
 )
-from quotdt.vertex import chart_contribution
+from quotdt.vertex import _formal_character, chart_contribution, vertex_character
 
 # charts of the one-point blow-up of P^3, from its fan: the four simplex cones
 # minus the one at the blown-up point, plus three new cones along the
@@ -225,7 +225,7 @@ def test_series_values_match_composition_sum(name, twists, nmax):
                     prod *= chart_contribution(chart, bundle.rank, m, params)
             total += prod
         want.append(total)
-    assert _series_values(space, bundle, nmax, params, threads=1) == tuple(want)
+    assert _series_values(space, bundle, nmax, params) == tuple(want)
 
 
 def test_count_fixed_points_independent_recount():
@@ -275,3 +275,27 @@ def test_parameter_dependence_names_scalar_values():
     values = iter([Fraction(-20), Fraction(-18), Fraction(-20)])
     with pytest.raises(ParameterDependenceError, match=r"samples 0 and 1 disagree: -20 vs -18$"):
         toric._evaluate_at_samples(0, 0, 3, lambda params: next(values))
+
+
+def test_toric_path_builds_each_character_once():
+    # one vertex_character miss per (partition, chart), and one formal
+    # character per partition, held one at a time
+    p3 = builtin_space("p3")
+    vertex_character.cache_clear()
+    _formal_character.cache_clear()
+    dt_series(p3, trivial_bundle(p3), 3)
+    assert vertex_character.cache_info().misses == 4 * (1 + 3 + 6)
+    assert _formal_character.cache_info().misses == 1 + 3 + 6
+    assert _formal_character.cache_info().currsize <= 1
+
+
+def test_exhausted_draws_name_chart_size_and_monomial(monkeypatch):
+    # every draw has s1 + s2 = 0, a zero tangent weight of chart 0
+    monkeypatch.setattr(toric, "sample_params", lambda rank, rng: EquivParams((1, -1, 5), (3,)))
+    p3 = builtin_space("p3")
+    with pytest.raises(ZeroWeightError) as info:
+        dt_series(p3, trivial_bundle(p3), 2)
+    assert str(info.value) == (
+        "no admissible parameter point after 32 draws; the last failed at "
+        "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"
+    )

@@ -4,7 +4,9 @@ The one-box characters were derived by hand from the three-term formula and
 are asserted termwise; everything else leans on invariants (symmetry, zero
 constant term, twist cancellation) plus the generic one-box Euler class.
 The box-pair construction of vertex_character is checked against the
-three-term formula evaluated with general LaurentPoly products.
+three-term formula evaluated with general LaurentPoly products, also when
+calls alternate between partitions and charts, and the partition-outer
+chart_sums against chart-by-chart sums.
 """
 
 import random
@@ -19,7 +21,9 @@ from quotdt.toric import builtin_space, chart_of, split_bundle, trivial_bundle
 from quotdt.vertex import (
     ChartWeights,
     _embed,
+    _formal_character,
     chart_contribution,
+    chart_sums,
     euler_inverse,
     kappa_inverse,
     symmetry_defect,
@@ -253,3 +257,57 @@ def test_chart_weights_validation():
     assert chart.rank == 3
     assert chart.nvars == 6
     assert chart.colors[1] == (0, 0, 0, 0, 1, 0)
+
+
+def test_interleaved_calls_never_see_a_stale_formal_character():
+    # the formal character memo holds one partition; alternating partitions
+    # and charts must rebuild it, never reuse another partition's terms
+    space = builtin_space("p3")
+    bundle = split_bundle(space, (0, 1))
+    charts = [chart_of(space, bundle, ci) for ci in (0, 1)]
+    first, second = enum_colored(3, 2)[1], enum_colored(3, 2)[-2]
+    build = vertex_character.__wrapped__
+    for cpp, chart in [(first, charts[0]), (second, charts[0]), (first, charts[1]),
+                       (second, charts[1]), (second, charts[0]), (first, charts[0])]:
+        assert build(cpp, chart) == _reference_character(cpp, chart)
+    assert _formal_character.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("name", sorted(TWISTS))
+def test_chart_sums_match_chart_by_chart_sums(name):
+    space = builtin_space(name)
+    bundles = [trivial_bundle(space, 1), split_bundle(space, TWISTS[name][1]),
+               trivial_bundle(space, 3)]
+    for bundle in bundles:
+        charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+        params = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[: bundle.rank])
+        for n in range(5):
+            want = [
+                sum((euler_inverse(vertex_character(cpp, chart), params)
+                     for cpp in enum_colored(n, bundle.rank)), Fraction(0))
+                for chart in charts
+            ]
+            assert chart_sums(charts, bundle.rank, n, params) == want
+
+
+def test_chart_sums_names_chart_and_size_of_a_zero_weight():
+    charts = [std_chart(), ChartWeights.build(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))]
+    # s1 + s2 = 0 kills the monomial t1^-1 t2^-1 of the first chart only
+    with pytest.raises(ZeroWeightError, match=r"^chart 0, n=1: monomial \(-1, -1, 0, 0\)"):
+        chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
+
+
+def test_chart_weights_must_be_unimodular():
+    for tangent, det in [(((1, 0, 0), (0, 1, 0), (1, 1, 0)), 0),
+                         (((2, 0, 0), (0, 1, 0), (0, 0, 1)), 2)]:
+        with pytest.raises(ValueError, match=f"determinant {det}; charts must be unimodular"):
+            ChartWeights.build(tangent, ((0, 0, 0),))
+    assert ChartWeights.build(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),)).rank == 1
+
+
+def test_chart_weights_colors_end_in_unit_vectors():
+    # the color parts e_k - e_j keep the pairs (j, k) of a character apart
+    with pytest.raises(ValueError, match="color 1 must end in the unit vector"):
+        ChartWeights(STD, ((0, 0, 0, 1, 0), (0, 0, 0, 1, 0)))
+    with pytest.raises(ValueError, match="color 0 must end in the unit vector"):
+        ChartWeights(STD, ((1, 0, 0, 2),))
