@@ -63,7 +63,6 @@ _EXPORTS = {
         "c3_via_localization",
         "chart_of",
         "count_fixed_points",
-        "dt_invariant",
         "dt_series",
         "split_bundle",
         "trivial_bundle",

@@ -125,18 +125,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "LaurentPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
-
     def dual(self) -> "LaurentPoly":
         """The bar involution t -> t^-1 on every variable."""
         return _raw(self.nvars, {tuple(-x for x in e): c for e, c in self._terms.items()})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -33,7 +34,6 @@ from .toric import (
     count_fixed_points,
     draw_admissible,
     dt_series,
-    resolve_threads,
     split_bundle,
     trivial_bundle,
 )
@@ -50,6 +50,25 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """The one declaration of the CLI's options.
+
+    Each subcommand parser keeps the Action of every option by dest, so the
+    config reader and the negative-value rewrite read names, value kinds and
+    choices from the add_argument calls in build_parser.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        self.appends: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        if kwargs.get("action") == "append":
+            self.appends.add(action.dest)
+        return action
+
     # argparse exits with code 2 on bad flags; the contract reserves 2 for
     # invariant failures, so route everything through UsageError instead.
     def error(self, message):
@@ -57,46 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # -- argument plumbing -----------------------------------------------------
-
-_COMMON_OPTS = {
-    "config": "str",
-    "seed": "int",
-    "trials": "int",
-    "threads": "int",
-    "format": "str",
-    "timing": "flag",
-}
-
-_COMMAND_OPTS = {
-    "toric": {
-        **_COMMON_OPTS,
-        "space": "str",
-        "bundle": "str",
-        "nmax": "int",
-        "rank": "int",
-        "chart": "list",
-        "bundle_chart": "list",
-    },
-    "vertex": {
-        **_COMMON_OPTS,
-        "space": "str",
-        "bundle": "str",
-        "nmax": "int",
-        "rank": "int",
-        "chart": "list",
-        "bundle_chart": "list",
-        "chart_index": "int",
-    },
-    "chern": {**_COMMON_OPTS, "space": "str", "bundle": "str", "rank": "int"},
-    "cobordism": {
-        **_COMMON_OPTS,
-        "builtin": "str",
-        "space": "str",
-        "bundle": "str",
-        "rank": "int",
-    },
-    "macmahon": {**_COMMON_OPTS, "nmax": "int", "power": "int", "negate_q": "flag"},
-}
 
 
 def _add_common(sub):
@@ -159,6 +138,7 @@ def build_parser() -> _Parser:
     mac.add_argument("--power", type=int, help="integer exponent, default 1")
     mac.add_argument("--negate-q", action="store_true", help="substitute q -> -q")
     _add_common(mac)
+    parser.commands = commands.choices  # subcommand name -> its _Parser
     return parser
 
 
@@ -184,9 +164,12 @@ _FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
                 "0": False, "false": False, "no": False, "off": False}
 
 
-def merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file; flags always win."""
-    opts = _COMMAND_OPTS[args.command]
+def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
+    """Fill unset options from the config file; flags always win.
+
+    A key is read through the Action of the subcommand option it names, so a
+    value gets the same type and choice checks as the flag would.
+    """
     if not args.config:
         return args
     data = load_config(args.config)
@@ -195,64 +178,62 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
             if values != [args.command]:
                 raise UsageError(f"config names command {values[0]!r}, got {args.command!r}")
             continue
-        if key not in opts or key == "config":
+        action = parser.options.get(key)
+        if action is None or key in ("help", "config"):
             raise UsageError(f"unknown config key {key!r} for {args.command}")
-        kind = opts[key]
         current = getattr(args, key)
-        if kind == "list":
+        if key in parser.appends:
             if not current:
                 setattr(args, key, list(values))
             continue
         if len(values) > 1:
             raise UsageError(f"config key {key!r} given more than once")
         value = values[0]
-        if kind == "flag":
+        if action.nargs == 0:
             if value.lower() not in _FLAG_VALUES:
                 raise UsageError(f"config key {key!r} wants a boolean, got {value!r}")
             if not current:
                 setattr(args, key, _FLAG_VALUES[value.lower()])
-        elif kind == "int":
-            if current is None:
-                try:
-                    setattr(args, key, int(value))
-                except ValueError:
-                    raise UsageError(f"config key {key!r} wants an integer, got {value!r}") from None
-        else:
-            if current is None:
-                setattr(args, key, value)
+            continue
+        if current is not None:
+            continue
+        if action.type is not None:
+            # every typed option is type=int
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise UsageError(f"config key {key!r} wants an integer, got {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"config key {key!r} wants one of {', '.join(action.choices)}, got {value!r}"
+            )
+        setattr(args, key, value)
     return args
 
 
 # -- descriptor parsing ----------------------------------------------------
 
 
-def parse_chart(text: str):
+def parse_vectors(text: str, chart: bool = False):
+    """'x,y,z;x,y,z' -> one integer triple per ';'-separated row.
+
+    A chart (three tangent weights) needs exactly three rows; a bundle chart
+    has one row, a summand character, per summand.
+    """
+    what = "chart vector" if chart else "summand character"
     rows = text.split(";")
-    if len(rows) != 3:
+    if chart and len(rows) != 3:
         raise UsageError(f"chart {text!r} needs three ';'-separated vectors")
-    chart = []
+    vectors = []
     for row in rows:
         try:
             vec = tuple(int(x) for x in row.split(","))
         except ValueError:
-            raise UsageError(f"bad chart vector {row!r}") from None
+            raise UsageError(f"bad {what} {row!r}") from None
         if len(vec) != 3:
-            raise UsageError(f"chart vector {row!r} needs three entries")
-        chart.append(vec)
-    return tuple(chart)
-
-
-def parse_bundle_chart(text: str):
-    colors = []
-    for row in text.split(";"):
-        try:
-            vec = tuple(int(x) for x in row.split(","))
-        except ValueError:
-            raise UsageError(f"bad summand character {row!r}") from None
-        if len(vec) != 3:
-            raise UsageError(f"summand character {row!r} needs three entries")
-        colors.append(vec)
-    return tuple(colors)
+            raise UsageError(f"{what} {row!r} needs three entries")
+        vectors.append(vec)
+    return tuple(vectors)
 
 
 def parse_twists(descriptor: str, factors: int):
@@ -283,7 +264,7 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
         try:
-            space = ToricSpace("custom", tuple(parse_chart(c) for c in args.chart))
+            space = ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     elif args.space:
@@ -295,7 +276,7 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
         raise UsageError("a space is required: --space or --chart")
 
     if args.bundle_chart:
-        per_chart = tuple(parse_bundle_chart(b) for b in args.bundle_chart)
+        per_chart = tuple(parse_vectors(b) for b in args.bundle_chart)
         if len(per_chart) != space.num_charts:
             raise UsageError(
                 f"{len(per_chart)} bundle charts for {space.num_charts} space charts"
@@ -317,6 +298,16 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
     if args.rank is not None and bundle.rank != args.rank:
         raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
     return space, bundle
+
+
+def resolve_threads(threads: int | None) -> int:
+    """--threads, else QUOTDT_THREADS, else 1: checked and echoed, and otherwise unused."""
+    if threads is None:
+        env = os.environ.get("QUOTDT_THREADS")
+        threads = int(env) if env else 1
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return threads
 
 
 def resolve_ring(name: str):
@@ -402,7 +393,7 @@ def cmd_toric(args) -> tuple[dict, int]:
     coeffs = list(series.integer_coeffs())
     c3 = c3_via_localization(space, seed=args.seed, trials=args.trials)
     closed = list(dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs())
-    counts = [count_fixed_points(space, bundle.rank, n) for n in range(args.nmax + 1)]
+    counts = count_fixed_points(space, bundle.rank, args.nmax)
     per_coeff = ["MATCH" if a == b else "MISMATCH" for a, b in zip(coeffs, closed)]
     matched = all(v == "MATCH" for v in per_coeff)
     inputs = {
@@ -414,7 +405,7 @@ def cmd_toric(args) -> tuple[dict, int]:
         "threads": threads,
     }
     if args.chart:
-        inputs["charts"] = [list(map(list, c)) for c in (parse_chart(c) for c in args.chart)]
+        inputs["charts"] = [list(map(list, c)) for c in space.charts]
     values = {
         "series": coeffs,
         "closed_formula": closed,
@@ -609,31 +600,37 @@ _DISPATCH = {
 }
 
 
-_CHART_FLAGS = ("--chart", "--bundle-chart")
-
-
-def _attach_chart_values(argv: list[str]) -> list[str]:
+def _attach_negative_values(parser: _Parser, argv: list[str]) -> list[str]:
     """Rewrite '--chart -1,0,0;...' as '--chart=-1,0,0;...'.
 
-    argparse reads a separate value that starts with '-' as an option, so a
-    chart whose first weight is negative would be refused.  A flag names a
-    chart option the way argparse resolves it: exactly, or as the unique
-    prefix of one of the command's long options.
+    argparse reads a separate value that starts with '-' as an option unless
+    it is a plain negative number, so a chart whose first weight is negative
+    would be refused.  A '-<digit>' token is attached to the flag before it
+    when that flag names an option that takes a value, resolved the way
+    argparse resolves it: exactly, or as the unique prefix of one of the
+    command's long options.
     """
-    command = next((token for token in argv if token in _COMMAND_OPTS), None)
+    command = next((token for token in argv if token in parser.commands), None)
     if command is None:
         return argv
-    flags = ["--help"] + ["--" + key.replace("_", "-") for key in _COMMAND_OPTS[command]]
+    actions = {
+        flag: action
+        for action in parser.commands[command].options.values()
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
 
-    def names_chart(flag: str) -> bool:
-        if flag in flags:
-            return flag in _CHART_FLAGS
-        matches = [f for f in flags if f.startswith(flag)]
-        return flag.startswith("--") and len(matches) == 1 and matches[0] in _CHART_FLAGS
+    def takes_value(flag: str) -> bool:
+        if flag not in actions:
+            matches = [f for f in actions if f.startswith(flag)]
+            if not flag.startswith("--") or len(matches) != 1:
+                return False
+            flag = matches[0]
+        return actions[flag].nargs != 0
 
     out = []
     for token in argv:
-        if out and token[:1] == "-" and token[1:2].isdigit() and names_chart(out[-1]):
+        if out and token[:1] == "-" and token[1:2].isdigit() and takes_value(out[-1]):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -644,8 +641,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(_attach_chart_values(sys.argv[1:] if argv is None else argv))
-        args = merge_config(args)
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_attach_negative_values(parser, argv))
+        args = merge_config(args, parser.commands[args.command])
         if args.seed is None:
             args.seed = 0
         if args.trials is None:

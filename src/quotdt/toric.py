@@ -12,7 +12,6 @@ several independently sampled parameter points, drawn by one loop
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,15 +199,6 @@ def sample_params(rank: int, rng: random.Random) -> EquivParams:
     )
 
 
-def resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("QUOTDT_THREADS")
-        threads = int(env) if env else 1
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    return threads
-
-
 def draw_admissible(rank: int, rng: random.Random, compute):
     """Draw parameter points until compute succeeds; return the point and its value.
 
@@ -245,33 +235,28 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     return first
 
 
+def _product_over_charts(per_chart, nmax: int) -> Series:
+    """The product over charts of each chart's series, truncated at q^nmax."""
+    product = Series.one(nmax)
+    for coeffs in per_chart:
+        product = product * Series(coeffs)
+    return product
+
+
 def _series_values(
     space: ToricSpace, bundle: SplitBundle, nmax: int, params: EquivParams
 ) -> tuple[Fraction, ...]:
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
     sums = [chart_sums(charts, bundle.rank, n, params) for n in range(1, nmax + 1)]
-    product = Series.one(nmax)
-    for chart_values in zip(*sums):
-        product = product * Series((1, *chart_values))
-    return product.coeffs
+    return _product_over_charts(((1, *values) for values in zip(*sums)), nmax).coeffs
 
 
 def dt_series(
-    space: ToricSpace,
-    bundle: SplitBundle,
-    nmax: int,
-    seed: int = 0,
-    trials: int = 2,
-    threads: int | None = None,
+    space: ToricSpace, bundle: SplitBundle, nmax: int, seed: int = 0, trials: int = 2
 ) -> Series:
-    """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers.
-
-    threads is checked (at least 1) and otherwise ignored: the sum runs in
-    one thread, since a thread pool never paid for this pure-Python work.
-    """
+    """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    resolve_threads(threads)
     values = _evaluate_at_samples(
         bundle.rank, seed, trials, lambda p: _series_values(space, bundle, nmax, p)
     )
@@ -280,19 +265,6 @@ def dt_series(
     if coeffs[0] != 1:
         raise NonIntegralError(f"constant coefficient {coeffs[0]} should be 1")
     return series
-
-
-def dt_invariant(
-    space: ToricSpace,
-    bundle: SplitBundle,
-    n: int,
-    seed: int = 0,
-    trials: int = 2,
-    threads: int | None = None,
-) -> int:
-    """The degree n invariant as an exact integer."""
-    series = dt_series(space, bundle, n, seed=seed, trials=trials, threads=threads)
-    return series.integer_coeffs()[n]
 
 
 def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> int:
@@ -323,15 +295,11 @@ def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> in
     return value.numerator
 
 
-def count_fixed_points(space: ToricSpace, rank: int, n: int) -> int:
-    """Number of torus fixed points with n boxes in total.
+def count_fixed_points(space: ToricSpace, rank: int, nmax: int) -> tuple[int, ...]:
+    """Numbers of torus fixed points with n boxes in total, for n = 0..nmax.
 
-    Each chart holds any colored plane partition, so the count is the q^n
-    coefficient of the product over charts of sum_m #enum_colored(m) q^m.
+    Each chart holds any colored plane partition, so the counts are the
+    coefficients of the product over charts of sum_m #enum_colored(m) q^m.
     """
-    counts = [len(enum_colored(m, rank)) for m in range(n + 1)]
-    totals = [1] + [0] * n
-    for _ in space.charts:
-        # multiply by the chart's series sum_m counts[m] q^m, truncated at q^n
-        totals = [sum(totals[i] * counts[m - i] for i in range(m + 1)) for m in range(n + 1)]
-    return totals[n]
+    counts = tuple(len(enum_colored(m, rank)) for m in range(nmax + 1))
+    return _product_over_charts((counts,) * space.num_charts, nmax).integer_coeffs()

@@ -122,6 +122,35 @@ def test_config_errors(tmp_path, capsys):
     assert code == 1 and "cannot read config" in err
 
 
+def test_config_values_are_checked_like_flags(tmp_path, capsys):
+    # each key is read through its flag's argparse Action: type, choices,
+    # boolean and list handling come from build_parser alone
+    base = "space=p3\nbundle=O\nnmax=1\n"
+    table = tmp_path / "table.cfg"
+    table.write_text(base + "format=table\n")
+    _, direct, _ = run(
+        capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1", "--format", "table"
+    )
+    code, via_config, _ = run(capsys, "toric", "--config", str(table))
+    assert code == 0 and via_config == direct
+
+    cases = [
+        ("format=xml\n", "config key 'format' wants one of table, json, got 'xml'"),
+        ("seed=eleven\n", "config key 'seed' wants an integer, got 'eleven'"),
+        ("timing=maybe\n", "config key 'timing' wants a boolean, got 'maybe'"),
+        ("seed=1\nseed=2\n", "config key 'seed' given more than once"),
+        ("help=1\n", "unknown config key 'help' for toric"),
+        ("config=other.cfg\n", "unknown config key 'config' for toric"),
+        ("chart_index=0\n", "unknown config key 'chart_index' for toric"),
+    ]
+    for line, message in cases:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(base + line)
+        code, out, err = run(capsys, "toric", "--config", str(cfg))
+        assert (code, out) == (1, ""), line
+        assert message in err, (line, err)
+
+
 def test_usage_errors(capsys):
     cases = [
         ("toric", "--space", "nowhere", "--nmax", "1"),
@@ -329,6 +358,45 @@ def test_chart_values_may_start_with_minus(capsys):
     # on vertex, --char is ambiguous with --chart-index and stays an error
     code, _, err = run(capsys, "vertex", "--char", "-1,0,0;-1,1,0;-1,0,1")
     assert code == 1 and "ambiguous" in err
+
+
+def test_negative_tokens_attach_to_any_value_option(capsys):
+    # a '-<digit>' token after an option that takes a value is that option's
+    # value, so it fails with the option's own message, not argparse's
+    code, out, err = run(capsys, "toric", "--space", "-1", "--nmax", "1")
+    assert (code, out) == (1, "")
+    assert "unknown space '-1'" in err
+    code, _, err = run(capsys, "toric", "--spa", "-1,0", "--nmax", "1")
+    assert code == 1 and "unknown space '-1,0'" in err
+    code, _, err = run(capsys, "macmahon", "--nmax", "-2x")
+    assert code == 1 and "invalid int value: '-2x'" in err
+    assert run_json(capsys, "toric", "--space", "p3", "--nmax", "1", "--seed", "-3")["seed"] == -3
+    # a flag that takes no value leaves the token alone: --help still prints help
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["toric", "--space", "p3", "--nmax", "1", "--help", "-1"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quotdt toric")
+
+
+def test_resolve_threads(monkeypatch):
+    monkeypatch.delenv("QUOTDT_THREADS", raising=False)
+    assert cli.resolve_threads(None) == 1
+    assert cli.resolve_threads(3) == 3
+    monkeypatch.setenv("QUOTDT_THREADS", "5")
+    assert cli.resolve_threads(None) == 5
+    assert cli.resolve_threads(2) == 2
+    with pytest.raises(ValueError):
+        cli.resolve_threads(0)
+
+
+def test_threads_do_not_change_values(capsys):
+    argv = ("toric", "--space", "p3", "--bundle", "O,O", "--nmax", "2")
+    one = run_json(capsys, *argv, "--threads", "1")
+    four = run_json(capsys, *argv, "--threads", "4")
+    assert (one["inputs"].pop("threads"), four["inputs"].pop("threads")) == (1, 4)
+    assert one == four
+    code, _, err = run(capsys, *argv, "--threads", "0")
+    assert code == 1 and "threads must be at least 1" in err
 
 
 def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
