@@ -45,8 +45,8 @@ EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad input; main reports it, like any ValueError, with exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +82,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--seed", type=int, help="RNG seed recorded in the report")
     sub.add_argument("--trials", type=int, help="independent parameter samples (>= 2)")
-    sub.add_argument(
-        "--threads", type=int, help="accepted and echoed (>= 1); QUOTDT_THREADS as fallback"
-    )
     sub.add_argument("--format", choices=("table", "json"), help="report format")
     sub.add_argument("--timing", action="store_true", help="include elapsed_ms in the report")
 
@@ -112,6 +109,9 @@ def build_parser() -> _Parser:
     toric = commands.add_parser("toric", help="DT series against the closed formula")
     _add_space_bundle(toric)
     toric.add_argument("--nmax", type=int, help="highest box count")
+    toric.add_argument(
+        "--threads", type=int, help="accepted and echoed (>= 1); QUOTDT_THREADS as fallback"
+    )
     _add_common(toric)
 
     vertex = commands.add_parser("vertex", help="virtual character tables per chart")
@@ -263,15 +263,9 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
-        try:
-            space = ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        space = ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
     elif args.space:
-        try:
-            space = builtin_space(args.space)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        space = builtin_space(args.space)
     else:
         raise UsageError("a space is required: --space or --chart")
 
@@ -315,13 +309,10 @@ def resolve_ring(name: str):
 
     if name is None:
         raise UsageError("a ring is required: --space")
-    try:
-        if name.startswith("prod:"):
-            lam = tuple(int(x) for x in name[5:].split("."))
-            return chern_mod.ring_of_projective_product(lam)
-        return chern_mod.named_ring(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if name.startswith("prod:"):
+        lam = tuple(int(x) for x in name[5:].split("."))
+        return chern_mod.ring_of_projective_product(lam)
+    return chern_mod.named_ring(name)
 
 
 def resolve_ring_bundle(args):
@@ -423,6 +414,8 @@ def cmd_toric(args) -> tuple[dict, int]:
 def cmd_vertex(args) -> tuple[dict, int]:
     space, bundle = resolve_space_bundle(args)
     nmax = 1 if args.nmax is None else args.nmax
+    if nmax < 0:
+        raise UsageError("--nmax must be nonnegative")
     if args.chart_index is not None and not 0 <= args.chart_index < space.num_charts:
         raise UsageError(f"chart index {args.chart_index} out of range")
     indices = (
@@ -522,6 +515,8 @@ def cmd_cobordism(args) -> tuple[dict, int]:
 
     if args.builtin and args.space:
         raise UsageError("give either --builtin or --space, not both")
+    if args.builtin and (args.bundle is not None or args.rank is not None):
+        raise UsageError("--builtin takes no --bundle or --rank")
     if args.builtin:
         try:
             quadruple = chern_mod.BUILTIN_DPRS[args.builtin]()
@@ -653,9 +648,6 @@ def main(argv=None) -> int:
         if args.format is None:
             args.format = "json"
         report, code = _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

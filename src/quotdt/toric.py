@@ -1,13 +1,15 @@
 """Global invariants of toric 3-folds by summing chart contributions.
 
 A ToricSpace is a list of charts, each carrying three tangent characters in
-Z^3.  Built-in spaces also carry, per chart and per polytope factor, the
-vertex used to linearize a line bundle twist, so split bundles can be built
-from twist tuples.  Invariants are assembled as the product over charts of
-the series 1 + sum_n c_n q^n of the chart sums c_n, which vertex.chart_sums
-computes for all charts at once, one size n at a time.  They are computed at
-several independently sampled parameter points, drawn by one loop
-(draw_admissible), which must agree exactly and be integers.
+Z^3.  The built-in spaces P^3, P^2 x P^1 and (P^1)^3 are products of
+projective spaces, and one function (_projective_product) generates their
+charts from the factors' simplices.  They also carry, per chart and per
+factor, the vertex used to linearize a line bundle twist, so split bundles
+can be built from twist tuples.  Invariants are assembled as the product
+over charts of the series 1 + sum_n c_n q^n of the chart sums c_n, which
+vertex.chart_sums computes for all charts at once, one size n at a time.
+They are computed at several independently sampled parameter points, drawn
+by one loop (draw_admissible), which must agree exactly and be integers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .charalg import EquivParams, weight_form
 from .errors import (
@@ -84,71 +85,44 @@ class SplitBundle:
                 raise ValueError("each chart needs one character per summand")
 
 
-def _p3_space() -> ToricSpace:
-    charts = (
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
-        ((0, -1, 0), (1, -1, 0), (0, -1, 1)),
-        ((0, 0, -1), (1, 0, -1), (0, 1, -1)),
-    )
-    # Vertices of the unit simplex, one polytope factor.
-    vertices = (((0, 0, 0),), ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
-    return ToricSpace("p3", charts, vertices)
+_BUILTINS = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}
 
 
-_P2_CHARTS = (
-    (((1, 0), (0, 1)), (0, 0)),
-    (((-1, 0), (-1, 1)), (1, 0)),
-    (((0, -1), (1, -1)), (0, 1)),
-)
+def _projective_product(name: str, dims: tuple[int, ...]) -> ToricSpace:
+    """The charts of a product of projective spaces P^d, one per factor.
 
-
-def _p2xp1_space() -> ToricSpace:
-    charts = []
-    vertices = []
-    for (tan2, vert2) in _P2_CHARTS:
-        for sign, vert1 in ((1, 0), (-1, 1)):
-            charts.append(
-                (
-                    (tan2[0][0], tan2[0][1], 0),
-                    (tan2[1][0], tan2[1][1], 0),
-                    (0, 0, sign),
-                )
+    Factor P^d has the simplex vertices 0, e_1, ..., e_d in its own block of
+    coordinates.  A chart picks one vertex v_i per factor, the first factor
+    outermost; its tangent characters are v_j - v_i for j != i, factor by
+    factor, and its twist vertices are the chosen v_i.
+    """
+    blocks = []
+    start = 0
+    for d in dims:
+        axes = [tuple(int(c == start + i) for c in range(3)) for i in range(d)]
+        blocks.append([(0, 0, 0), *axes])
+        start += d
+    charts = [((), ())]
+    for vertices in blocks:
+        charts = [
+            (
+                tangent
+                + tuple(tuple(a - b for a, b in zip(v, chosen)) for v in vertices if v != chosen),
+                twist + (chosen,),
             )
-            vertices.append(((vert2[0], vert2[1], 0), (0, 0, vert1)))
-    return ToricSpace("p2xp1", tuple(charts), tuple(vertices))
-
-
-def _p1cubed_space() -> ToricSpace:
-    charts = []
-    vertices = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for s3 in (0, 1):
-                signs = (1 - 2 * s1, 1 - 2 * s2, 1 - 2 * s3)
-                charts.append(
-                    (
-                        (signs[0], 0, 0),
-                        (0, signs[1], 0),
-                        (0, 0, signs[2]),
-                    )
-                )
-                vertices.append(((s1, 0, 0), (0, s2, 0), (0, 0, s3)))
-    return ToricSpace("p1cubed", tuple(charts), tuple(vertices))
-
-
-_BUILTINS = {
-    "p3": _p3_space,
-    "p2xp1": _p2xp1_space,
-    "p1cubed": _p1cubed_space,
-}
+            for tangent, twist in charts
+            for chosen in vertices
+        ]
+    tangents, twists = zip(*charts)
+    return ToricSpace(name, tangents, twists)
 
 
 def builtin_space(name: str) -> ToricSpace:
     try:
-        return _BUILTINS[name]()
+        dims = _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown space {name!r}; choose from {sorted(_BUILTINS)}") from None
+    return _projective_product(name, dims)
 
 
 def split_bundle(space: ToricSpace, twists) -> SplitBundle:
@@ -184,11 +158,10 @@ def trivial_bundle(space: ToricSpace, rank: int = 1) -> SplitBundle:
     return SplitBundle(rank, tuple(((0, 0, 0),) * rank for _ in space.charts))
 
 
-@lru_cache(maxsize=None)
 def chart_of(space: ToricSpace, bundle: SplitBundle, index: int) -> ChartWeights:
     if len(bundle.per_chart) != space.num_charts:
         raise ValueError("bundle chart data does not match the space")
-    return ChartWeights.build(space.charts[index], bundle.per_chart[index])
+    return ChartWeights(space.charts[index], bundle.per_chart[index])
 
 
 def sample_params(rank: int, rng: random.Random) -> EquivParams:

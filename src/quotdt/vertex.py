@@ -23,10 +23,10 @@ These formal terms, with the diagonal pairs j = k merged, are the formal
 character of the partition; it is the same for every chart, and its
 constant term is checked once.  A chart enters only through the
 substitution of each formal monomial by x a1 + y a2 + z a3 + (c_k - c_j) in
-Z^(3 + r), where c_j is the exponent vector of w_j.  Charts must be
-unimodular and each c_j must end in the unit vector of u_j; then the
-substitution is injective, so it needs no merging and no second constant
-check.
+Z^(3 + r), where c_j = (m_j, e_j) is the exponent vector of w_j, built from
+the chart's twist m_j and the unit vector e_j of u_j.  Charts must be
+unimodular; then the substitution is injective, so it needs no merging and
+no second constant check.
 
 chart_sums loops over partitions on the outside and charts on the inside,
 so each formal character is built once for all charts and held in a
@@ -58,45 +58,28 @@ def determinant(vectors) -> int:
 
 @dataclass(frozen=True)
 class ChartWeights:
-    """Tangent and color characters of one chart.
+    """Tangent characters and color twists of one chart.
 
-    tangent holds three vectors in Z^3.  colors holds one exponent vector per
-    color in Z^(3 + r): the twist part m_j followed by the unit vector of u_j.
+    tangent holds three vectors in Z^3, and twists one vector m_j in Z^3 per
+    color: color j is the character u_j * t^(m_j).
     """
 
     tangent: tuple[Vec3, Vec3, Vec3]
-    colors: tuple[tuple[int, ...], ...]
+    twists: tuple[Vec3, ...]
 
     def __post_init__(self):
         det = determinant(self.tangent)
         if det not in (1, -1):
             raise ValueError(f"tangent characters have determinant {det}; charts must be unimodular")
-        r = len(self.colors)
-        if r < 1:
+        if not self.twists:
             raise ValueError("at least one color is required")
-        for j, c in enumerate(self.colors):
-            if len(c) != 3 + r:
-                raise ValueError("color exponents must have length 3 + rank")
-            if c[3:] != tuple(int(i == j) for i in range(r)):
-                raise ValueError(f"color {j} must end in the unit vector of u_{j}")
+        for j, m in enumerate(self.twists):
+            if len(m) != 3 or not all(isinstance(x, int) for x in m):
+                raise ValueError(f"twist {j} is {m}; twists must lie in Z^3")
 
     @property
     def rank(self) -> int:
-        return len(self.colors)
-
-    @property
-    def nvars(self) -> int:
-        return 3 + len(self.colors)
-
-    @classmethod
-    def build(cls, tangent, twists) -> "ChartWeights":
-        """Assemble from tangent vectors and per-color twist vectors in Z^3."""
-        twists = tuple(tuple(t) for t in twists)
-        r = len(twists)
-        colors = tuple(
-            (*twists[j], *(1 if i == j else 0 for i in range(r))) for j in range(r)
-        )
-        return cls(tuple(tuple(v) for v in tangent), colors)
+        return len(self.twists)
 
 
 def _embed(vec: Vec3, rank: int) -> tuple[int, ...]:
@@ -176,10 +159,12 @@ def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> Laurent
     if cpp.rank != r:
         raise ValueError("colored partition rank does not match chart rank")
     (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = chart.tangent
-    colors = chart.colors
+    twists = chart.twists
     terms: dict[tuple[int, ...], int] = {}
     for j, k, pair in _formal_character(cpp):
-        d0, d1, d2, *rest = map(sub, colors[k], colors[j])
+        # c_k - c_j: the twists' difference, then e_k - e_j
+        d0, d1, d2 = map(sub, twists[k], twists[j])
+        rest = [(i == k) - (i == j) for i in range(r)]
         # The chart is unimodular and the color parts e_k - e_j differ
         # between pairs, so no two formal monomials share an exponent.
         terms.update({

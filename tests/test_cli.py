@@ -399,6 +399,33 @@ def test_threads_do_not_change_values(capsys):
     assert code == 1 and "threads must be at least 1" in err
 
 
+def test_vertex_refuses_negative_nmax(capsys):
+    code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "-3", "--chart-index", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: --nmax must be nonnegative\n"
+
+
+def test_threads_is_a_toric_option(tmp_path, capsys):
+    # only toric reads --threads, so the other commands refuse it
+    code, out, err = run(capsys, "macmahon", "--nmax", "3", "--threads", "-1")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --threads -1" in err
+    code, _, err = run(capsys, "vertex", "--space", "p3", "--threads", "2")
+    assert code == 1 and "unrecognized arguments: --threads 2" in err
+    cfg = tmp_path / "chern.cfg"
+    cfg.write_text("space = p2xp1\nthreads = 2\n")
+    code, out, err = run(capsys, "chern", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "unknown config key 'threads' for chern" in err
+
+
+def test_cobordism_builtin_refuses_bundle_and_rank(capsys):
+    for extra in (("--bundle", "foo"), ("--bundle", "O2"), ("--rank", "1")):
+        code, out, err = run(capsys, "cobordism", "--builtin", "quadric-dpr", *extra)
+        assert (code, out) == (1, ""), extra
+        assert err == "usage error: --builtin takes no --bundle or --rank\n"
+
+
 def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
     monkeypatch.setattr(toric, "sample_params", lambda rank, rng: EquivParams((1, -1, 5), (3,)))
     code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "2")

@@ -1,10 +1,14 @@
 """Localization over whole spaces: frozen invariants and independence checks."""
 
+import importlib
+import pkgutil
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quotdt
 from quotdt import toric
 from quotdt.charalg import EquivParams
 from quotdt.errors import ParameterDependenceError, ZeroWeightError
@@ -39,13 +43,55 @@ BLOWUP_P3_POINT = (
 
 
 def test_builtin_chart_data():
+    # every chart and twist vertex, in order, as the hand-written atlases had them
     p3 = builtin_space("p3")
-    assert p3.num_charts == 4
-    assert p3.charts[0] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert p3.charts[1] == ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1))
-    assert builtin_space("p2xp1").num_charts == 6
-    assert builtin_space("p1cubed").num_charts == 8
-    with pytest.raises(ValueError):
+    assert p3.charts == (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
+        ((0, -1, 0), (1, -1, 0), (0, -1, 1)),
+        ((0, 0, -1), (1, 0, -1), (0, 1, -1)),
+    )
+    assert p3.twist_vertices == (((0, 0, 0),), ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+    p2xp1 = builtin_space("p2xp1")
+    assert p2xp1.charts == (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+        ((-1, 0, 0), (-1, 1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (-1, 1, 0), (0, 0, -1)),
+        ((0, -1, 0), (1, -1, 0), (0, 0, 1)),
+        ((0, -1, 0), (1, -1, 0), (0, 0, -1)),
+    )
+    assert p2xp1.twist_vertices == (
+        ((0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 0, 0)),
+        ((1, 0, 0), (0, 0, 1)),
+        ((0, 1, 0), (0, 0, 0)),
+        ((0, 1, 0), (0, 0, 1)),
+    )
+    p1cubed = builtin_space("p1cubed")
+    assert p1cubed.charts == (
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+        ((1, 0, 0), (0, -1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        ((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (0, 1, 0), (0, 0, -1)),
+        ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+    )
+    assert p1cubed.twist_vertices == (
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 1)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    )
+    message = r"^unknown space 'p4'; choose from \['p1cubed', 'p2xp1', 'p3'\]$"
+    with pytest.raises(ValueError, match=message):
         builtin_space("p4")
 
 
@@ -159,7 +205,7 @@ def test_chart_of_consistency():
     bundle = split_bundle(p3, [1])
     chart = chart_of(p3, bundle, 1)
     assert chart.tangent == p3.charts[1]
-    assert chart.colors == ((1, 0, 0, 1),)
+    assert chart.twists == ((1, 0, 0),)
     with pytest.raises(ValueError):
         chart_of(p3, SplitBundle(1, (((0, 0, 0),),)), 0)
 
@@ -262,6 +308,27 @@ def test_toric_path_builds_each_character_once():
     assert vertex_character.cache_info().misses == 4 * (1 + 3 + 6)
     assert _formal_character.cache_info().misses == 1 + 3 + 6
     assert _formal_character.cache_info().currsize <= 1
+
+
+def test_process_caches_are_exactly_the_traced_ones():
+    # chart_of and the other helpers build per call; only these keep an
+    # lru_cache, which the benchmark tracer rewraps by name
+    for info in pkgutil.iter_modules(quotdt.__path__):
+        importlib.import_module(f"quotdt.{info.name}")
+    cached = sorted(
+        f"{name.removeprefix('quotdt.')}.{attr}"
+        for name, module in sys.modules.items()
+        if name.startswith("quotdt.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info") and value.__module__ == name
+    )
+    assert cached == [
+        "partitions.enum_colored",
+        "partitions.enum_plane_partitions",
+        "vertex._formal_character",
+        "vertex.chart_contribution",
+        "vertex.vertex_character",
+    ]
 
 
 def test_exhausted_draws_name_chart_size_and_monomial(monkeypatch):
