@@ -8,7 +8,7 @@ tuples to nonzero integer coefficients.  Everything is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 Exponents = Tuple[int, ...]
 
@@ -46,10 +46,6 @@ class LaurentPoly:
         return cls(nvars)
 
     @classmethod
-    def one(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
     def monomial(cls, exps: Iterable[int], coeff: int = 1) -> "LaurentPoly":
         exps = tuple(exps)
         return cls(len(exps), {exps: coeff})
@@ -64,18 +60,12 @@ class LaurentPoly:
     def constant_term(self) -> int:
         return self._terms.get((0,) * self.nvars, 0)
 
-    def coefficient(self, exps: Iterable[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
-
     @property
     def num_terms(self) -> int:
         return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(self.terms())
 
     # -- ring operations -----------------------------------------------
 

@@ -310,7 +310,12 @@ def resolve_ring(name: str):
     if name is None:
         raise UsageError("a ring is required: --space")
     if name.startswith("prod:"):
-        lam = tuple(int(x) for x in name[5:].split("."))
+        try:
+            lam = tuple(int(x) for x in name[5:].split("."))
+        except ValueError:
+            raise UsageError(
+                f"--space {name!r}: a product ring is prod:d1.d2... with integer dimensions"
+            ) from None
         return chern_mod.ring_of_projective_product(lam)
     return chern_mod.named_ring(name)
 

@@ -294,6 +294,14 @@ def test_chern_product_descriptor(capsys):
     assert report["values"]["c3_t_omega"] == -18
 
 
+def test_malformed_product_ring_names_the_grammar(capsys):
+    for space in ("prod:a", "prod:", "prod:2.x", "prod:2..1"):
+        for command in (("chern",), ("cobordism", "--rank", "1")):
+            code, out, err = run(capsys, *command, "--space", space)
+            assert (code, out) == (1, ""), space
+            assert f"--space {space!r}: a product ring is prod:d1.d2..." in err, err
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QUOTDT_THREADS", "3")
     report = run_json(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")

@@ -3,17 +3,22 @@
 The one-box characters were derived by hand from the three-term formula and
 are asserted termwise; everything else leans on invariants (symmetry, zero
 constant term, twist cancellation) plus the generic one-box Euler class.
-The box-pair construction of vertex_character is checked against the
+The chart characters of vertex_character are checked against the
 three-term formula evaluated with general LaurentPoly products, also when
-calls alternate between partitions and charts, and the partition-outer
-chart_sums against chart-by-chart sums.
+calls alternate between partitions and charts and on random unimodular
+charts, and euler_inverse's scalar weights against the exponent-dict loop
+_reference_euler.  The partition-outer chart_sums is checked against
+chart-by-chart sums.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from quotdt import vertex
 from quotdt.charalg import EquivParams, LaurentPoly
 from quotdt.errors import NonzeroFixedPartError, ZeroWeightError
 from quotdt.partitions import ColoredPlanePartition, EMPTY_PLANE_PARTITION, PlanePartition, enum_colored
@@ -51,7 +56,7 @@ def _reference_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> Lau
     nv = 3 + r
     a = [_embed(v, r) for v in chart.tangent]
 
-    one = LaurentPoly.one(nv)
+    one = LaurentPoly.monomial((0,) * nv)
     p_poly = one
     for ai in a:
         p_poly = p_poly * (one - LaurentPoly.monomial(ai))
@@ -69,6 +74,28 @@ def _reference_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> Lau
         q = q + w * boxes
 
     return f.dual() * q - q.dual() * f * kappa_inv + q.dual() * q * p_poly * kappa_inv
+
+
+def _reference_euler(char: LaurentPoly, params: EquivParams) -> Fraction:
+    """Inverse Euler class from the exponent dict, one (3 + r)-term dot product per monomial.
+
+    Walks the dict in its insertion order, so on a chart character it names
+    the first zero-weight monomial in formal order.
+    """
+    if char.constant_term != 0:
+        raise NonzeroFixedPartError("character has a fixed part; Euler class undefined")
+    values = params.s + params.v
+    num = 1
+    den = 1
+    for exps, coeff in char._terms.items():
+        w = sum(map(mul, exps, values))
+        if w == 0:
+            raise ZeroWeightError(f"monomial {exps} has weight zero")
+        if coeff > 0:
+            den *= w ** coeff
+        else:
+            num *= w ** (-coeff)
+    return Fraction(num, den)
 
 
 # Twisted bundles per space: rank 1, then rank 2 with summands of unequal twist.
@@ -189,7 +216,7 @@ def test_symmetry_and_vd_zero_over_builtin_charts():
                 for n in range(4):
                     for cpp in enum_colored(n, rank):
                         char = vertex_character(cpp, chart)
-                        assert char.constant_term == 0
+                        assert LaurentPoly(char.nvars, char.terms()).constant_term == 0
                         assert not symmetry_defect(char, chart)
 
 
@@ -224,9 +251,22 @@ def test_euler_inverse_rejects_parameter_rank_mismatch():
         euler_inverse(char, EquivParams(s=(1, 3, 7)))
 
 
-def test_euler_inverse_rejects_fixed_part():
-    with pytest.raises(NonzeroFixedPartError):
-        euler_inverse(LaurentPoly.one(4), EquivParams(s=(1, 2, 3), v=(4,)))
+def test_fixed_part_is_refused_before_any_chart(monkeypatch):
+    # a chart character cannot carry a fixed part: the formal character
+    # refuses a nonzero constant term, and euler_inverse takes nothing else
+    pair_terms = vertex._pair_terms
+
+    def with_constant(*args):
+        terms = pair_terms(*args)
+        terms[(0, 0, 0)] = terms.get((0, 0, 0), 0) + 1
+        return terms
+
+    monkeypatch.setattr(vertex, "_pair_terms", with_constant)
+    _formal_character.cache_clear()
+    with pytest.raises(NonzeroFixedPartError, match="constant term 1 in virtual character"):
+        vertex_character.__wrapped__(one_box(), std_chart())
+    with pytest.raises(TypeError, match="chart character"):
+        euler_inverse(LaurentPoly.monomial((0, 0, 0, 0)), EquivParams(s=(1, 2, 3), v=(4,)))
 
 
 def test_chart_contribution_sums_over_fixed_points():
@@ -306,3 +346,67 @@ def test_chart_weights_twists_lie_in_z3():
     for twists in [((0, 0, 0), (0, 0, 0, 1)), ((0, 0),), ((Fraction(1, 2), 0, 0),)]:
         with pytest.raises(ValueError, match=r"twists must lie in Z\^3"):
             ChartWeights(STD, twists)
+
+
+# Elementary SL_3(Z) row operations: add c times row j to row i.
+_ROW_OPS = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+@st.composite
+def chart_characters(draw):
+    rank = draw(st.integers(1, 3))
+    rows = [list(v) for v in STD]
+    for i, j in draw(st.lists(st.sampled_from(_ROW_OPS), max_size=6)):
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[0], rows[1] = rows[1], rows[0]
+    twists = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=rank, max_size=rank))
+    chart = ChartWeights(tuple(map(tuple, rows)), tuple(twists))
+    cpp = draw(st.sampled_from(enum_colored(draw(st.integers(0, 4)), rank)))
+    return cpp, chart
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=chart_characters(), data=st.data())
+def test_chart_characters_match_direct_ones(case, data):
+    cpp, chart = case
+    char = vertex_character(cpp, chart)
+    want = _reference_character(cpp, chart)
+    assert want.constant_term == 0
+    assert char.num_terms == want.num_terms
+    assert char == want
+    assert char.num_terms == len(char.terms())
+
+    r = chart.rank
+    draw_int = st.integers(-10 ** 4, 10 ** 4)
+    params = EquivParams(tuple(data.draw(st.lists(draw_int, min_size=3, max_size=3))),
+                         tuple(data.draw(st.lists(draw_int, min_size=r, max_size=r))))
+    plain = LaurentPoly(char.nvars, char.terms())
+    try:
+        expected = _reference_euler(plain, params)
+    except ZeroWeightError:
+        assume(False)
+    assert euler_inverse(char, params) == expected
+
+    # a point where a chosen monomial has weight zero: both walks name the
+    # same first zero monomial, in formal order
+    assume(char)
+    exps, _ = data.draw(st.sampled_from(char.terms()))
+    s, v = list(params.s), list(params.v)
+    if any(exps[3:]):
+        k = exps[3:].index(1)
+        v[k] = 0
+        v[k] = -sum(map(mul, exps, (*s, *v)))
+    else:
+        # s orthogonal to the tangent part: its cross product with a random vector
+        x, y, z = exps[:3]
+        a, b, c = data.draw(st.tuples(draw_int, draw_int, draw_int))
+        s = [y * c - z * b, z * a - x * c, x * b - y * a]
+    # at the origin every weight is zero, so both name the first monomial
+    for zero in (EquivParams(tuple(s), tuple(v)), EquivParams((0, 0, 0), (0,) * r)):
+        with pytest.raises(ZeroWeightError) as got:
+            euler_inverse(char, zero)
+        with pytest.raises(ZeroWeightError) as reference:
+            _reference_euler(char, zero)
+        assert str(got.value) == str(reference.value)
