@@ -274,8 +274,15 @@ _NAMED_RINGS = {
 def named_ring(name: str) -> ChernRing:
     if name in _NAMED_RINGS:
         return _NAMED_RINGS[name]()
-    if name.startswith("pbundle-p2-"):
-        return projective_bundle_ring("p2", int(name.rsplit("-", 1)[1]))
+    prefix = "pbundle-p2-"
+    if name.startswith(prefix):
+        try:
+            twist = int(name[len(prefix):])
+        except ValueError:
+            raise ValueError(
+                f"ring {name!r}: a projective bundle ring is pbundle-p2-<d> with an integer twist d"
+            ) from None
+        return projective_bundle_ring("p2", twist)
     raise ValueError(f"unknown ring {name!r}")
 
 

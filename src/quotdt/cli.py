@@ -298,8 +298,15 @@ def resolve_threads(threads: int | None) -> int:
     """--threads, else QUOTDT_THREADS, else 1: checked and echoed, and otherwise unused."""
     if threads is None:
         env = os.environ.get("QUOTDT_THREADS")
-        threads = int(env) if env else 1
-    if threads < 1:
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"QUOTDT_THREADS={env!r} is not an integer") from None
+        if threads < 1:
+            raise UsageError(f"QUOTDT_THREADS={env!r}: threads must be at least 1")
+    elif threads < 1:
         raise ValueError("threads must be at least 1")
     return threads
 
@@ -428,10 +435,10 @@ def cmd_vertex(args) -> tuple[dict, int]:
     )
     charts = [chart_of(space, bundle, ci) for ci in indices]
 
-    def probe(params):
-        return [chart_sums(charts, bundle.rank, n, params) for n in range(1, nmax + 1)]
-
-    params, sums = draw_admissible(bundle.rank, random.Random(args.seed), probe)
+    params, sums = draw_admissible(
+        bundle.rank, random.Random(args.seed),
+        lambda params: chart_sums(charts, bundle.rank, nmax, params),
+    )
 
     symmetric = True
     tables = {}

@@ -7,7 +7,8 @@ charts from the factors' simplices.  They also carry, per chart and per
 factor, the vertex used to linearize a line bundle twist, so split bundles
 can be built from twist tuples.  Invariants are assembled as the product
 over charts of the series 1 + sum_n c_n q^n of the chart sums c_n, which
-vertex.chart_sums computes for all charts at once, one size n at a time.
+one vertex.chart_sums call per parameter point computes for all charts and
+all sizes n through nmax, with one weight table per chart.
 They are computed at several independently sampled parameter points, drawn
 by one loop (draw_admissible), which must agree exactly and be integers.
 """
@@ -220,8 +221,8 @@ def _series_values(
     space: ToricSpace, bundle: SplitBundle, nmax: int, params: EquivParams
 ) -> tuple[Fraction, ...]:
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
-    sums = [chart_sums(charts, bundle.rank, n, params) for n in range(1, nmax + 1)]
-    return _product_over_charts(((1, *values) for values in zip(*sums)), nmax).coeffs
+    rows = chart_sums(charts, bundle.rank, nmax, params)
+    return _product_over_charts(((1, *values) for values in zip(*rows)), nmax).coeffs
 
 
 def dt_series(

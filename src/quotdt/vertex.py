@@ -17,11 +17,25 @@ T = sum_{j,k} dual(w_j) w_k U_jk with
 
 which depends only on the boxes of colors j and k.  U_jk is computed in
 formal tangent exponents (x, y, z), standing for t^(x a1 + y a2 + z a3).
+
+One Python int, its code, stands for one formal monomial of one color pair:
+
+    code = ((pair * B + x) * B + y) * B + z,    B = 2^12,
+
+with x, y and z signed, and pair 0 for the merged diagonal pairs j = k and
+1 + j r + k for the pair (j, k).  _unpack reads the digits back as residues
+in [-B/2, B/2), so a code is unique while |x|, |y|, |z| < B/2.  Formal
+exponents lie between -(c + 1) and c for the largest box coordinate c, so
+box coordinates may reach MAX_BOX = B/2 - 2 = 2046; a larger one raises
+ValueError.  The packing is linear, so e - b - (1, 1, 1) is one int
+subtraction.
+
 Each part's Q_k P(t) is expanded once, by three shift-and-subtract passes
-with the zero terms dropped; dual(Q_j) Q_k P(t) / kappa then pairs every
-box b of color j with every term e of Q_k P(t) at e - b - (1, 1, 1).
-These formal terms, with the diagonal pairs j = k merged, are the formal
-character of the partition; it is the same for every chart, and its
+with the zero terms dropped.  The terms of every pair are then added into
+one code -> coefficient dict, the diagonal pairs first; its order of first
+insertion is the formal order.  Its nonzero entries, with the codes of the
+negative and of the positive terms repeated by multiplicity, are the formal
+character of the partition.  It is the same for every chart, and its
 constant term is checked once.
 
 A chart enters only through the substitution of each formal monomial by
@@ -29,18 +43,20 @@ x a1 + y a2 + z a3 + (c_k - c_j) in Z^(3 + r), where c_j = (m_j, e_j) is
 the exponent vector of w_j, built from the chart's twist m_j and the unit
 vector e_j of u_j.  Charts must be unimodular; then the substitution is
 injective, so it needs no merging and no second constant check.
-vertex_character returns a chart character: the formal terms and the
+vertex_character returns a chart character: the formal character and the
 chart, with the LaurentPoly exponent dict filled by the substitution only
 when something reads it (the vertex tables, symmetry_defect, equality).
-euler_inverse never does.  It takes 3 + r scalar weights, w_i = a_i . s
-for the tangent characters and m_j . s + v_j for each color, and weighs a
-formal monomial of the pair (j, k) as x w1 + y w2 + z w3 plus color k's
-weight minus color j's.
+euler_inverse never does.  It weighs a code through chart_weights, a dict
+for one chart and one parameter point that fills itself on lookup with
+x w1 + y w2 + z w3 plus color k's weight minus color j's, where w_i = a_i . s
+and color j weighs m_j . s + v_j.  The inverse Euler class is then two
+products of table lookups.
 
-chart_sums loops over partitions on the outside and charts on the inside,
-so each formal character is built once for all charts and held in a
-one-entry memo.  vertex_character and chart_contribution keep their
-process-lifetime caches.
+chart_sums returns the chart sums for every size n up to nmax.  It builds
+one weight table per chart for all sizes, and loops over partitions on the
+outside and charts on the inside, so each formal character is built once
+for all charts and held in a one-entry memo.  vertex_character and
+chart_contribution keep their process-lifetime caches.
 """
 
 from __future__ import annotations
@@ -48,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import mul, sub
 
 from .charalg import EquivParams, LaurentPoly
@@ -106,92 +123,145 @@ def symmetry_defect(char: LaurentPoly, chart: ChartWeights) -> LaurentPoly:
     return char + kappa_inverse(chart) * char.dual()
 
 
-_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_BITS = 12
+_BASE = 1 << _BITS
+_HALF = _BASE >> 1
+_MASK = _BASE - 1
+# Adding _BIAS moves x, y and z to [0, B) and leaves the pair digit alone.
+_BIAS = _HALF * ((_BASE + 1) * _BASE + 1)
+MAX_BOX = _HALF - 2
+_PAIR = _BASE ** 3  # one step of the pair digit
+_ONES = (_BASE + 1) * _BASE + 1  # the code of (1, 1, 1)
+_STEPS = (_BASE * _BASE, _BASE, 1)  # the codes of the three unit vectors
 
 
-def _times_p(boxes) -> tuple[tuple[Vec3, int], ...]:
-    """Q(t) P(t) in formal tangent exponents, for the boxes Q of one part; zeros dropped."""
-    acc = dict.fromkeys(boxes, 1)
-    for dx, dy, dz in _AXES:
+def _pack(pair: int, x: int, y: int, z: int) -> int:
+    """The code of the formal monomial t^(x, y, z) of a color pair."""
+    return ((pair * _BASE + x) * _BASE + y) * _BASE + z
+
+
+def _unpack(code: int) -> tuple[int, int, int, int]:
+    """(pair, x, y, z) of a code, reading x, y and z as residues in [-B/2, B/2)."""
+    biased = code + _BIAS
+    return (
+        biased >> 3 * _BITS,
+        (biased >> 2 * _BITS & _MASK) - _HALF,
+        (biased >> _BITS & _MASK) - _HALF,
+        (biased & _MASK) - _HALF,
+    )
+
+
+def _box_codes(boxes) -> list[int]:
+    """The codes of one part's boxes; ValueError past MAX_BOX."""
+    # a coordinate c needs c + 1 boxes below it, so only a large part can overflow
+    if len(boxes) > MAX_BOX + 1:
+        top = max(map(max, boxes))
+        if top > MAX_BOX:
+            raise ValueError(
+                f"box coordinate {top} exceeds {MAX_BOX} = B/2 - 2, "
+                f"the bound of a formal monomial code (B = {_BASE})"
+            )
+    return [(x * _BASE + y) * _BASE + z for x, y, z in boxes]  # _pack(0, x, y, z)
+
+
+def _times_p(codes) -> list[tuple[int, int]]:
+    """Q(t) P(t) as (code, coefficient) pairs, for the box codes Q of one part; zeros dropped."""
+    acc = dict.fromkeys(codes, 1)
+    for step in _STEPS:
         # multiply by (1 - t_i): subtract a copy shifted one step along axis i
         out = dict(acc)
-        for (x, y, z), c in acc.items():
-            key = (x + dx, y + dy, z + dz)
-            out[key] = out.get(key, 0) - c
+        for code, c in acc.items():
+            out[code + step] = out.get(code + step, 0) - c
         acc = out
-    return tuple((e, c) for e, c in acc.items() if c)
+    return [(code, c) for code, c in acc.items() if c]
 
 
-def _pair_terms(boxes_j, boxes_k, qp_k) -> dict[Vec3, int]:
-    """U_jk in formal tangent exponents, given qp_k = Q_k P; zero coefficients may remain."""
-    acc: dict[Vec3, int] = {}
-    for x1, y1, z1 in boxes_j:
-        for (x2, y2, z2), c in qp_k:
-            key = (x2 - x1 - 1, y2 - y1 - 1, z2 - z1 - 1)
-            acc[key] = acc.get(key, 0) + c
-    for key in boxes_k:
-        acc[key] = acc.get(key, 0) + 1
-    for x, y, z in boxes_j:
-        key = (-x - 1, -y - 1, -z - 1)
-        acc[key] = acc.get(key, 0) - 1
-    return acc
+def _pair_terms(acc: dict[int, int], codes_j, codes_k, qp_k, pair: int) -> None:
+    """Add U_jk to acc, in codes of the color pair, given qp_k = Q_k P."""
+    get = acc.get
+    offset = pair * _PAIR
+    # dual(Q_j) Q_k P / kappa: e - b - (1, 1, 1) for every box b and term e
+    for b in codes_j:
+        shift = b + _ONES - offset
+        for e, c in qp_k:
+            key = e - shift
+            acc[key] = get(key, 0) + c
+    for b in codes_k:
+        key = b + offset
+        acc[key] = get(key, 0) + 1
+    for b in codes_j:
+        key = offset - _ONES - b
+        acc[key] = get(key, 0) - 1
 
 
 @lru_cache(maxsize=1)
 def _formal_character(cpp: ColoredPlanePartition):
-    """The chart-free character of a colored partition: (j, k, terms) per color pair.
+    """The chart-free character of a colored partition: (terms, num, den).
 
-    terms holds the nonzero (x, y, z) -> coefficient items of U_jk.  The
-    diagonal pairs j = k all land on the color part 0, so they are merged
-    into one entry (0, 0, terms).  One entry is memoized: a partition-outer
-    loop asks for the same partition once per chart, then moves on.
+    terms maps the code of each nonzero formal monomial to its coefficient,
+    in formal order: the merged diagonal pairs, then the pairs (j, k) with
+    j != k.  num holds the codes of the negative terms and den those of the
+    positive ones, each repeated by the size of its coefficient.  One entry
+    is memoized: a partition-outer loop asks for the same partition once
+    per chart, then moves on.
     """
-    boxes = [part.boxes for part in cpp.parts]
-    qp = [_times_p(b) for b in boxes]
-    diagonal: dict[Vec3, int] = {}
-    for b, q in zip(boxes, qp):
-        for key, c in _pair_terms(b, b, q).items():
-            diagonal[key] = diagonal.get(key, 0) + c
-    constant = diagonal.get((0, 0, 0), 0)
+    codes = [_box_codes(part.boxes) for part in cpp.parts]
+    qp = [_times_p(c) for c in codes]
+    rank = len(codes)
+    acc: dict[int, int] = {}
+    for codes_k, qp_k in zip(codes, qp):
+        _pair_terms(acc, codes_k, codes_k, qp_k, 0)
+    constant = acc.get(0, 0)
     if constant != 0:
         raise NonzeroFixedPartError(f"constant term {constant} in virtual character")
-    pairs = [(0, 0, tuple((e, c) for e, c in diagonal.items() if c))]
-    for j, boxes_j in enumerate(boxes):
-        for k, boxes_k in enumerate(boxes):
+    for j, codes_j in enumerate(codes):
+        for k, codes_k in enumerate(codes):
             if j != k:
-                terms = _pair_terms(boxes_j, boxes_k, qp[k])
-                pairs.append((j, k, tuple((e, c) for e, c in terms.items() if c)))
-    return tuple(pairs)
+                _pair_terms(acc, codes_j, codes_k, qp[k], 1 + j * rank + k)
+    terms: dict[int, int] = {}
+    num: list[int] = []
+    den: list[int] = []
+    for code, c in acc.items():
+        if c == 1:
+            den.append(code)
+        elif c == -1:
+            num.append(code)
+        elif c > 0:
+            den += [code] * c
+        elif c < 0:
+            num += [code] * -c
+        else:
+            continue
+        terms[code] = c
+    return terms, num, den
 
 
-def _substitute(formal, chart: ChartWeights) -> dict[tuple[int, ...], int]:
+def _substitute(terms: dict[int, int], chart: ChartWeights) -> dict[tuple[int, ...], int]:
     """The exponent dict of formal terms in a chart, in formal order."""
     r = chart.rank
     (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = chart.tangent
     twists = chart.twists
-    terms: dict[tuple[int, ...], int] = {}
-    for j, k, pair in formal:
+    exponents: dict[tuple[int, ...], int] = {}
+    for code, c in terms.items():
+        pair, x, y, z = _unpack(code)
+        j, k = divmod(pair - 1, r) if pair else (0, 0)
         # c_k - c_j: the twists' difference, then e_k - e_j
         d0, d1, d2 = map(sub, twists[k], twists[j])
-        rest = [(i == k) - (i == j) for i in range(r)]
         # The chart is unimodular and the color parts e_k - e_j differ
         # between pairs, so no two formal monomials share an exponent.
-        terms.update({
-            (
-                x * a10 + y * a20 + z * a30 + d0,
-                x * a11 + y * a21 + z * a31 + d1,
-                x * a12 + y * a22 + z * a32 + d2,
-                *rest,
-            ): c
-            for (x, y, z), c in pair
-        })
-    return terms
+        exponents[(
+            x * a10 + y * a20 + z * a30 + d0,
+            x * a11 + y * a21 + z * a31 + d1,
+            x * a12 + y * a22 + z * a32 + d2,
+            *((i == k) - (i == j) for i in range(r)),
+        )] = c
+    return exponents
 
 
 class ChartCharacter(LaurentPoly):
     """A colored partition's formal character seen through one chart.
 
-    It holds the formal terms and the chart.  The exponent dict of
+    It holds the formal character and the chart.  The exponent dict of
     LaurentPoly is filled by substitution on its first read (terms(), ==,
     hash, dual, +, ...).  num_terms and constant_term need no dict: the
     substitution is injective, and _formal_character has checked the
@@ -210,13 +280,13 @@ class ChartCharacter(LaurentPoly):
         # Reached only for a slot not filled yet; _terms is filled on demand.
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        terms = _substitute(self.formal, self.chart)
+        terms = _substitute(self.formal[0], self.chart)
         object.__setattr__(self, "_terms", terms)
         return terms
 
     @property
     def num_terms(self) -> int:
-        return sum(len(pair) for _, _, pair in self.formal)
+        return len(self.formal[0])
 
     @property
     def constant_term(self) -> int:
@@ -236,63 +306,108 @@ def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> ChartCh
     return ChartCharacter(_formal_character(cpp), chart)
 
 
-def euler_inverse(char: ChartCharacter, params: EquivParams) -> Fraction:
+class _WeightTable(dict):
+    """Code -> weight in one chart at one parameter point, filled on lookup.
+
+    tangent holds w1, w2 and w3, and offsets[pair] the weight of color k
+    minus that of color j (0 for the diagonal pair 0).
+    """
+
+    __slots__ = ("chart", "params", "tangent", "offsets")
+
+    def __missing__(self, code: int) -> int:
+        pair, x, y, z = _unpack(code)
+        w1, w2, w3 = self.tangent
+        weight = self[code] = x * w1 + y * w2 + z * w3 + self.offsets[pair]
+        return weight
+
+
+def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
+    """The weight table of a chart at a parameter point, for euler_inverse.
+
+    It starts empty and weighs a code on its first lookup.  One table
+    serves every character of the chart at that point.
+    """
+    if chart.rank != params.rank:
+        raise ValueError("parameter rank does not match chart rank")
+    s = params.s
+    colors = [sum(map(mul, m, s)) + v for m, v in zip(chart.twists, params.v)]
+    table = _WeightTable()
+    table.chart = chart
+    table.params = params
+    table.tangent = tuple(sum(map(mul, a, s)) for a in chart.tangent)
+    table.offsets = [0] + [ck - cj for cj in colors for ck in colors]
+    return table
+
+
+def euler_inverse(char: ChartCharacter, params: EquivParams, weights=None) -> Fraction:
     """Inverse equivariant Euler class of a chart character, from 3 + r scalar weights.
 
     Moving monomials with positive coefficient contribute their weight to the
-    denominator, negative ones to the numerator.  A zero weight means the
-    parameters are inadmissible for this character; the error names the
-    first such monomial in formal order by its exponent in Z^(3 + r), which
-    is built only then.
+    denominator, negative ones to the numerator.  weights is
+    chart_weights(char.chart, params), built here when it is not given.  A
+    zero weight means the parameters are inadmissible for this character;
+    the error names the first such monomial in formal order by its exponent
+    in Z^(3 + r), which is built only then.
     """
     if not isinstance(char, ChartCharacter):
         raise TypeError("euler_inverse takes a chart character from vertex_character")
-    if char.nvars != params.nvars:
-        raise ValueError(
-            f"a character in {char.nvars} variables does not match rank {params.rank} parameters"
-        )
-    chart = char.chart
-    s = params.s
-    w1, w2, w3 = (sum(map(mul, a, s)) for a in chart.tangent)
-    colors = [sum(map(mul, m, s)) + v for m, v in zip(chart.twists, params.v)]
-    num = 1
-    den = 1
-    for j, k, pair in char.formal:
-        d = colors[k] - colors[j]
-        for (x, y, z), coeff in pair:
-            w = x * w1 + y * w2 + z * w3 + d
-            if w == 0:
-                (exps,) = _substitute(((j, k, (((x, y, z), coeff),)),), chart)
-                raise ZeroWeightError(f"monomial {exps} has weight zero")
-            if coeff > 0:
-                den *= w ** coeff
-            else:
-                num *= w ** (-coeff)
-    return Fraction(num, den)
+    if weights is None:
+        if char.nvars != params.nvars:
+            raise ValueError(
+                f"a character in {char.nvars} variables does not match rank {params.rank} parameters"
+            )
+        weights = chart_weights(char.chart, params)
+    elif (weights.chart is not char.chart and weights.chart != char.chart) or (
+        weights.params is not params and weights.params != params
+    ):
+        raise ValueError("weights belong to another chart or parameter point")
+    terms, num, den = char.formal
+    weigh = weights.__getitem__
+    top = prod(map(weigh, num))
+    bottom = prod(map(weigh, den))
+    if top and bottom:
+        return Fraction(top, bottom)
+    code = next(code for code in terms if weights[code] == 0)
+    (exps,) = _substitute({code: terms[code]}, char.chart)
+    raise ZeroWeightError(f"monomial {exps} has weight zero")
 
 
-def chart_sums(charts, rank: int, n: int, params: EquivParams) -> list[Fraction]:
-    """Per chart, the sum of inverse Euler classes over colored partitions of size n.
-
-    The partitions are the outer loop, so each one's formal character is
-    built once and evaluated in every chart.  A ZeroWeightError names
-    the failing chart by its position in charts, and n.
-    """
+def _check_ranks(charts, rank: int, params: EquivParams) -> None:
     if any(chart.rank != rank for chart in charts):
         raise ValueError("rank does not match chart data")
     if params.rank != rank:
         raise ValueError("parameter rank does not match chart rank")
-    totals = [Fraction(0)] * len(charts)
+
+
+def _size_sums(tables, rank: int, n: int, params: EquivParams) -> list[Fraction]:
+    """Per weight table, the sum over colored partitions of size n in its chart."""
+    totals = [Fraction(0)] * len(tables)
     try:
         for cpp in enum_colored(n, rank):
-            for i, chart in enumerate(charts):
-                totals[i] += euler_inverse(vertex_character(cpp, chart), params)
+            for i, table in enumerate(tables):
+                totals[i] += euler_inverse(vertex_character(cpp, table.chart), params, table)
     except ZeroWeightError as exc:
         raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
     return totals
 
 
+def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[Fraction]]:
+    """Per size n = 1..nmax, one row with each chart's sum of inverse Euler classes.
+
+    Row n - 1 holds, chart by chart, the sum over the colored partitions of
+    size n.  Each chart's weight table is built once for all sizes.  The
+    partitions are the outer loop, so each one's formal character is built
+    once and evaluated in every chart.  A ZeroWeightError names the failing
+    chart by its position in charts, and n.
+    """
+    _check_ranks(charts, rank, params)
+    tables = [chart_weights(chart, params) for chart in charts]
+    return [_size_sums(tables, rank, n, params) for n in range(1, nmax + 1)]
+
+
 @lru_cache(maxsize=None)
 def chart_contribution(chart: ChartWeights, rank: int, n: int, params: EquivParams) -> Fraction:
     """Sum of inverse Euler classes over all colored plane partitions of size n."""
-    return chart_sums((chart,), rank, n, params)[0]
+    _check_ranks((chart,), rank, params)
+    return _size_sums((chart_weights(chart, params),), rank, n, params)[0]

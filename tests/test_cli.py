@@ -302,6 +302,39 @@ def test_malformed_product_ring_names_the_grammar(capsys):
             assert f"--space {space!r}: a product ring is prod:d1.d2..." in err, err
 
 
+def test_projective_bundle_ring_reads_a_negative_twist(capsys):
+    # pbundle-p2--1 is P(O + O(-1)); it was once read as twist +1
+    from quotdt.chern import named_ring, projective_bundle_ring
+
+    argv = ("chern", "--space", "pbundle-p2--1", "--bundle", "O0.1")
+    report = run_json(capsys, *argv)
+    assert report["values"]["mixed_chern_vector"] == ["6", "24", "56", "6", "16", "4", "1"]
+    plus = run_json(capsys, "chern", "--space", "pbundle-p2-1", "--bundle", "O0.1")
+    assert plus["values"]["mixed_chern_vector"] == ["6", "24", "56", "0", "4", "-2", "1"]
+    assert named_ring("pbundle-p2--1").name == projective_bundle_ring("p2", -1).name
+
+
+def test_malformed_projective_bundle_ring_names_the_grammar(capsys):
+    for space in ("pbundle-p2-x", "pbundle-p2-", "pbundle-p2-1.5"):
+        for command in (("chern",), ("cobordism", "--rank", "1")):
+            code, out, err = run(capsys, *command, "--space", space)
+            assert (code, out) == (1, ""), space
+            assert f"ring {space!r}: a projective bundle ring is pbundle-p2-<d>" in err, err
+
+
+def test_threads_env_must_be_an_integer(capsys, monkeypatch):
+    for value, message in [("abc", "QUOTDT_THREADS='abc' is not an integer"),
+                           ("1.5", "QUOTDT_THREADS='1.5' is not an integer"),
+                           ("0", "QUOTDT_THREADS='0': threads must be at least 1")]:
+        monkeypatch.setenv("QUOTDT_THREADS", value)
+        code, out, err = run(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")
+        assert (code, out) == (1, "")
+        assert message in err, err
+    # --threads wins over the variable, which is then not read
+    report = run_json(capsys, "toric", "--space", "p3", "--nmax", "1", "--threads", "2")
+    assert report["inputs"]["threads"] == 2
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QUOTDT_THREADS", "3")
     report = run_json(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import quotdt
-from quotdt import toric
+from quotdt import toric, vertex
 from quotdt.charalg import EquivParams, LaurentPoly
 from quotdt.errors import ParameterDependenceError, ZeroWeightError
 from quotdt.partitions import compositions, enum_colored
@@ -325,6 +325,24 @@ def test_toric_path_builds_each_character_once():
     assert not any(_has_exponent_dict(char) for char in cached)
     cached[0].terms()
     assert _has_exponent_dict(cached[0])
+
+
+def test_toric_path_builds_one_weight_table_per_chart_and_sample(monkeypatch):
+    # chart_sums shares each chart's table across every size n, so a run
+    # builds charts x samples tables, whatever nmax is
+    built = []
+    draws = []
+    chart_weights = vertex.chart_weights
+    sample_params = toric.sample_params
+    monkeypatch.setattr(vertex, "chart_weights", lambda *a: built.append(a) or chart_weights(*a))
+    monkeypatch.setattr(toric, "sample_params", lambda *a: draws.append(a) or sample_params(*a))
+    for name, twists, nmax in [("p3", (0,), 4), ("p1cubed", ((0, 0, 0), (1, 0, 2)), 2)]:
+        space = builtin_space(name)
+        built.clear()
+        draws.clear()
+        dt_series(space, split_bundle(space, twists), nmax, seed=3, trials=3)
+        assert len(draws) == 3
+        assert len(built) == space.num_charts * 3
 
 
 def test_process_caches_are_exactly_the_traced_ones():

@@ -24,11 +24,15 @@ from quotdt.errors import NonzeroFixedPartError, ZeroWeightError
 from quotdt.partitions import ColoredPlanePartition, EMPTY_PLANE_PARTITION, PlanePartition, enum_colored
 from quotdt.toric import builtin_space, chart_of, split_bundle, trivial_bundle
 from quotdt.vertex import (
+    MAX_BOX,
     ChartWeights,
     _embed,
     _formal_character,
+    _pack,
+    _unpack,
     chart_contribution,
     chart_sums,
+    chart_weights,
     euler_inverse,
     kappa_inverse,
     symmetry_defect,
@@ -256,10 +260,11 @@ def test_fixed_part_is_refused_before_any_chart(monkeypatch):
     # refuses a nonzero constant term, and euler_inverse takes nothing else
     pair_terms = vertex._pair_terms
 
-    def with_constant(*args):
-        terms = pair_terms(*args)
-        terms[(0, 0, 0)] = terms.get((0, 0, 0), 0) + 1
-        return terms
+    def with_constant(acc, codes_j, codes_k, qp_k, pair):
+        # one more term t^(0, 0, 0), with coefficient +1, in every pair
+        pair_terms(acc, codes_j, codes_k, qp_k, pair)
+        code = _pack(pair, 0, 0, 0)
+        acc[code] = acc.get(code, 0) + 1
 
     monkeypatch.setattr(vertex, "_pair_terms", with_constant)
     _formal_character.cache_clear()
@@ -318,13 +323,14 @@ def test_chart_sums_match_chart_by_chart_sums(name):
     for bundle in bundles:
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
         params = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[: bundle.rank])
-        for n in range(5):
-            want = [
-                sum((euler_inverse(vertex_character(cpp, chart), params)
-                     for cpp in enum_colored(n, bundle.rank)), Fraction(0))
-                for chart in charts
-            ]
-            assert chart_sums(charts, bundle.rank, n, params) == want
+        want = [
+            [sum((euler_inverse(vertex_character(cpp, chart), params)
+                  for cpp in enum_colored(n, bundle.rank)), Fraction(0))
+             for chart in charts]
+            for n in range(1, 5)
+        ]
+        assert chart_sums(charts, bundle.rank, 4, params) == want
+        assert chart_sums(charts, bundle.rank, 0, params) == []
 
 
 def test_chart_sums_names_chart_and_size_of_a_zero_weight():
@@ -410,3 +416,67 @@ def test_chart_characters_match_direct_ones(case, data):
         with pytest.raises(ZeroWeightError) as reference:
             _reference_euler(char, zero)
         assert str(got.value) == str(reference.value)
+
+
+_DIGIT = st.integers(-(MAX_BOX + 2), MAX_BOX + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=st.integers(0, 10 ** 4), e=st.tuples(_DIGIT, _DIGIT, _DIGIT),
+       b=st.tuples(*[st.integers(0, MAX_BOX)] * 3))
+def test_codes_round_trip_and_are_linear(pair, e, b):
+    assert _unpack(_pack(pair, *e)) == (pair, *e)
+    # e - b - (1, 1, 1) stays in range for a term e of Q P, so its code
+    # is a difference of codes
+    e = tuple(min(max(x, 0), MAX_BOX + 1) for x in e)
+    want = (pair, *(x - y - 1 for x, y in zip(e, b)))
+    assert _unpack(_pack(pair, *e) - _pack(0, *b) - _pack(0, 1, 1, 1)) == want
+
+
+def _line(length: int, axis: int) -> ColoredPlanePartition:
+    boxes = tuple(tuple(i if a == axis else 0 for a in range(3)) for i in range(length))
+    return ColoredPlanePartition((PlanePartition(boxes),))
+
+
+def _tuple_character(boxes) -> dict:
+    """Q - dual(Q)/kappa + dual(Q) Q P/kappa of one part in the standard chart, on tuples."""
+    qp = dict.fromkeys(boxes, 1)
+    for axis in STD:
+        out = dict(qp)
+        for e, c in qp.items():
+            key = tuple(x + d for x, d in zip(e, axis))
+            out[key] = out.get(key, 0) - c
+        qp = out
+    qp = {e: c for e, c in qp.items() if c}
+    acc = dict.fromkeys(boxes, 1)
+    for b in boxes:
+        key = tuple(-x - 1 for x in b)
+        acc[key] = acc.get(key, 0) - 1
+        for e, c in qp.items():
+            key = tuple(x - y - 1 for x, y in zip(e, b))
+            acc[key] = acc.get(key, 0) + c
+    return {(*e, 0): c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_box_coordinates_up_to_the_bound(axis):
+    # a line of MAX_BOX + 1 boxes reaches coordinate MAX_BOX and formal
+    # exponents of size MAX_BOX + 1; one box more is refused
+    cpp = _line(MAX_BOX + 1, axis)
+    char = vertex.vertex_character.__wrapped__(cpp, std_chart())
+    assert dict(char.terms()) == _tuple_character(cpp.parts[0].boxes)
+    with pytest.raises(ValueError, match=f"box coordinate {MAX_BOX + 1} exceeds {MAX_BOX} = B/2 - 2"):
+        _formal_character(_line(MAX_BOX + 2, axis))
+
+
+def test_euler_inverse_refuses_another_weight_table():
+    char = vertex_character(one_box(), std_chart())
+    params = EquivParams(s=(1, 3, 7), v=(11,))
+    assert euler_inverse(char, params, chart_weights(std_chart(), params)) == Fraction(320, 21)
+    other_chart = ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))
+    other_params = EquivParams(s=(1, 3, 8), v=(11,))
+    for weights in (chart_weights(other_chart, params), chart_weights(std_chart(), other_params)):
+        with pytest.raises(ValueError, match="another chart or parameter point"):
+            euler_inverse(char, params, weights)
+    with pytest.raises(ValueError, match="parameter rank does not match chart rank"):
+        chart_weights(std_chart(), EquivParams(s=(1, 3, 7), v=(11, 12)))
