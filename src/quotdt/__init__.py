@@ -71,6 +71,7 @@ _EXPORTS = {
         "ChartWeights",
         "chart_contribution",
         "chart_sums",
+        "chart_terms",
         "euler_inverse",
         "symmetry_defect",
         "vertex_character",

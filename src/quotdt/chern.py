@@ -83,12 +83,6 @@ class ChernRing:
                     acc.pop(key, None)
         return self.reduce(acc)
 
-    def product(self, *elements: Element) -> Element:
-        out = self.one()
-        for elt in elements:
-            out = self.mul(out, elt)
-        return out
-
     def power(self, a: Element, k: int) -> Element:
         out = self.one()
         for _ in range(k):
@@ -172,7 +166,7 @@ def ring_of_projective_product(lam) -> ChernRing:
 
 
 def projective_bundle_ring(base: str, twist, sign: int = conventions.GROTHENDIECK_SIGN) -> ChernRing:
-    """Ring of P(O + L) over a surface base; L has degree `twist`.
+    """Ring of P(O + L) over the base P^2 (base "p2"); L has degree `twist`.
 
     xi is the degree one relative class; the quadratic relation is
     xi^2 = sign * c1(L) xi with the calibrated sign, and the fiber integral is
@@ -180,36 +174,16 @@ def projective_bundle_ring(base: str, twist, sign: int = conventions.GROTHENDIEC
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if base == "p2":
-        twist = int(twist)
-        gens = ("h", "xi")
-        ell = {(1, 0): Fraction(twist)} if twist else {}
-        rules = [((3, 0), {})]
-        rules.append(((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
-        integrals = {(2, 1): Fraction(1)}
-        ring = ChernRing(f"pbundle(p2,{twist})", gens, tuple(rules), integrals)
-        base_total = ring.power(ring.add(ring.one(), ring.gen("h")), 3)
-    elif base == "p1xp1":
-        t1, t2 = (int(x) for x in twist)
-        gens = ("a", "b", "xi")
-        ell: Element = {}
-        if t1:
-            ell[(1, 0, 0)] = Fraction(t1)
-        if t2:
-            ell[(0, 1, 0)] = Fraction(t2)
-        rules = [
-            ((2, 0, 0), {}),
-            ((0, 2, 0), {}),
-            ((0, 0, 2), {exps: c * sign for exps, c in _shift(ell, (0, 0, 1)).items()}),
-        ]
-        integrals = {(1, 1, 1): Fraction(1)}
-        ring = ChernRing(f"pbundle(p1xp1,{(t1, t2)})", gens, tuple(rules), integrals)
-        base_total = ring.product(
-            ring.power(ring.add(ring.one(), ring.gen("a")), 2),
-            ring.power(ring.add(ring.one(), ring.gen("b")), 2),
-        )
-    else:
+    if base != "p2":
         raise ValueError(f"unsupported base {base!r}")
+    twist = int(twist)
+    gens = ("h", "xi")
+    ell = {(1, 0): Fraction(twist)} if twist else {}
+    rules = [((3, 0), {})]
+    rules.append(((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
+    integrals = {(2, 1): Fraction(1)}
+    ring = ChernRing(f"pbundle(p2,{twist})", gens, tuple(rules), integrals)
+    base_total = ring.power(ring.add(ring.one(), ring.gen("h")), 3)
 
     xi = ring.gen("xi")
     euler_factor = ring.mul(
@@ -218,10 +192,6 @@ def projective_bundle_ring(base: str, twist, sign: int = conventions.GROTHENDIEC
     )
     object.__setattr__(ring, "tangent_total", ring.mul(base_total, euler_factor))
     return ring
-
-
-def _shift(elt: Element, offset) -> Element:
-    return {tuple(x + y for x, y in zip(exps, offset)): c for exps, c in elt.items()}
 
 
 def quadric_threefold() -> ChernRing:

@@ -37,7 +37,7 @@ from .toric import (
     split_bundle,
     trivial_bundle,
 )
-from .vertex import chart_sums, symmetry_defect, vertex_character
+from .vertex import chart_sums, chart_terms, symmetry_defect, vertex_character
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,7 +288,7 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
         else:
             bundle = split_bundle(space, parse_twists(args.bundle, space.num_factors))
     else:
-        bundle = trivial_bundle(space, args.rank or 1)
+        bundle = trivial_bundle(space, 1 if args.rank is None else args.rank)
     if args.rank is not None and bundle.rank != args.rank:
         raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
     return space, bundle
@@ -332,7 +332,7 @@ def resolve_ring_bundle(args):
 
     ring = resolve_ring(args.space)
     if not args.bundle:
-        return ring, chern_mod.trivial_bundle_class(ring, args.rank or 1)
+        return ring, chern_mod.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
     roots = []
     for twist in parse_twists(args.bundle, len(ring.gens)):
         root = ring.zero()
@@ -448,12 +448,12 @@ def cmd_vertex(args) -> tuple[dict, int]:
         for n in range(nmax + 1):
             for cpp in enum_colored(n, bundle.rank):
                 char = vertex_character(cpp, chart)
-                if symmetry_defect(char, chart):
+                if symmetry_defect(char):
                     symmetric = False
                 rows.append(
                     {
                         "partition": [list(map(list, part)) for part in cpp.parts],
-                        "character": [[list(e), c] for e, c in char.terms()],
+                        "character": [[list(e), c] for e, c in sorted(chart_terms(char).items())],
                     }
                 )
         tables[str(ci)] = rows

@@ -467,6 +467,15 @@ def test_cobordism_builtin_refuses_bundle_and_rank(capsys):
         assert err == "usage error: --builtin takes no --bundle or --rank\n"
 
 
+def test_rank_zero_is_refused_by_every_command(capsys):
+    # --rank 0 is given, not absent: it must not fall back to rank 1
+    for argv in (("chern", "--space", "prod:3"), ("cobordism", "--space", "p3"),
+                 ("toric", "--space", "p3", "--nmax", "1"), ("vertex", "--space", "p3")):
+        code, out, err = run(capsys, *argv, "--rank", "0")
+        assert (code, out) == (1, ""), argv
+        assert "rank must be at least 1" in err, argv
+
+
 def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
     monkeypatch.setattr(toric, "sample_params", lambda rank, rng: EquivParams((1, -1, 5), (3,)))
     code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "2")
