@@ -264,11 +264,15 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
         space = ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
+    elif args.space == "custom":
+        raise UsageError("--space custom needs --chart data, one --chart per fixed point")
     elif args.space:
         space = builtin_space(args.space)
     else:
         raise UsageError("a space is required: --space or --chart")
 
+    if args.bundle and args.bundle_chart:
+        raise UsageError("give either --bundle or --bundle-chart, not both")
     if args.bundle_chart:
         per_chart = tuple(parse_vectors(b) for b in args.bundle_chart)
         if len(per_chart) != space.num_charts:

@@ -54,7 +54,11 @@ Euler class is then two products of table lookups.
 chart_sums returns the chart sums for every size n up to nmax.  It builds
 one weight table per chart for all sizes, and loops over partitions on the
 outside and charts on the inside, so each formal character is built once
-for all charts and held in a one-entry memo.  vertex_character and
+for all charts and held in a one-entry memo.  It takes the same two
+products as euler_inverse, but keeps each chart's running sum as an int
+pair N / D and adds a term top / bottom over lcm(D, bottom), so it builds
+one Fraction per chart and size, not one per term; it calls euler_inverse
+only on a zero product, to name the monomial.  vertex_character and
 chart_contribution keep their process-lifetime caches.
 """
 
@@ -63,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 from operator import mul, sub
 
 from .charalg import EquivParams
@@ -355,8 +359,15 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     Row n - 1 holds, chart by chart, the sum over the colored partitions of
     size n.  Each chart's weight table is built once for all sizes.  The
     partitions are the outer loop, so each one's formal character is built
-    once and evaluated in every chart.  A ZeroWeightError names the failing
-    chart by its position in charts, and n.
+    once and evaluated in every chart.
+
+    A term is two int products of table lookups, top / bottom, as in
+    euler_inverse, but no Fraction is built per term: each chart keeps its
+    running sum as an unreduced int pair N / D and adds a term over
+    lcm(D, bottom), so the whole sum costs one gcd per term and one
+    Fraction per chart and size.  A zero product is handed to euler_inverse,
+    which names the zero-weight monomial; the ZeroWeightError then names
+    the failing chart by its position in charts, and n.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
@@ -365,14 +376,25 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     tables = [chart_weights(chart, params) for chart in charts]
     rows = []
     for n in range(1, nmax + 1):
-        totals = [Fraction(0)] * len(tables)
-        try:
-            for cpp in enum_colored(n, rank):
-                for i, table in enumerate(tables):
-                    totals[i] += euler_inverse(vertex_character(cpp, table.chart), params, table)
-        except ZeroWeightError as exc:
-            raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
-        rows.append(totals)
+        nums = [0] * len(tables)
+        dens = [1] * len(tables)
+        for cpp in enum_colored(n, rank):
+            for i, table in enumerate(tables):
+                char = vertex_character(cpp, table.chart)
+                _, num, den = char.formal
+                weigh = table.__getitem__
+                top = prod(map(weigh, num))
+                bottom = prod(map(weigh, den))
+                if not (top and bottom):
+                    try:
+                        euler_inverse(char, params, table)
+                    except ZeroWeightError as exc:
+                        raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
+                d = dens[i]
+                g = gcd(d, bottom)
+                nums[i] = nums[i] * (bottom // g) + top * (d // g)
+                dens[i] = d // g * bottom
+        rows.append([Fraction(a, b) for a, b in zip(nums, dens)])
     return rows
 
 

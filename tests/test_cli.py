@@ -350,6 +350,30 @@ def test_bundle_chart_explicit_characters(capsys):
     assert report["values"]["series"] == [1, 20]
 
 
+def test_bundle_and_bundle_chart_are_exclusive(tmp_path, capsys):
+    # --bundle-chart would decide the bundle while the report echoed --bundle
+    charts = ["--bundle-chart", "0,0,0"] * 4
+    want = "usage error: give either --bundle or --bundle-chart, not both\n"
+    for command in ("toric", "vertex"):
+        argv = [command, "--space", "p3", "--nmax", "1"]
+        code, out, err = run(capsys, *argv, "--bundle", "O,O1", *charts)
+        assert (code, out, err) == (1, "", want), command
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("bundle = O,O1\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg), *charts)
+        assert (code, out, err) == (1, "", want), command
+        cfg.write_text("".join("bundle-chart = 0,0,0\n" for _ in range(4)))
+        code, out, err = run(capsys, *argv, "--config", str(cfg), "--bundle", "O")
+        assert (code, out, err) == (1, "", want), command
+
+
+def test_custom_space_without_charts_names_the_chart_data(capsys):
+    for command in ("toric", "vertex"):
+        code, out, err = run(capsys, command, "--space", "custom", "--nmax", "1")
+        assert (code, out) == (1, ""), command
+        assert err == "usage error: --space custom needs --chart data, one --chart per fixed point\n"
+
+
 def test_non_unimodular_chart_rejected_at_input(capsys):
     code, out, err = run(
         capsys, "toric", "--chart", "2,0,0;0,1,0;0,0,1", "--rank", "1", "--nmax", "1"

@@ -348,6 +348,16 @@ def test_interleaved_calls_never_see_a_stale_formal_character():
     assert _formal_character.cache_info().maxsize == 1
 
 
+def _per_term_rows(charts, rank, nmax, params):
+    """chart_sums rows as sums of one euler_inverse Fraction per partition and chart."""
+    return [
+        [sum((euler_inverse(vertex_character(cpp, chart), params) for cpp in enum_colored(n, rank)),
+             Fraction(0))
+         for chart in charts]
+        for n in range(1, nmax + 1)
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(TWISTS))
 def test_chart_sums_match_chart_by_chart_sums(name):
     space = builtin_space(name)
@@ -356,12 +366,7 @@ def test_chart_sums_match_chart_by_chart_sums(name):
     for bundle in bundles:
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
         params = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[: bundle.rank])
-        want = [
-            [sum((euler_inverse(vertex_character(cpp, chart), params)
-                  for cpp in enum_colored(n, bundle.rank)), Fraction(0))
-             for chart in charts]
-            for n in range(1, 5)
-        ]
+        want = _per_term_rows(charts, bundle.rank, 4, params)
         assert chart_sums(charts, bundle.rank, 4, params) == want
         assert chart_sums(charts, bundle.rank, 0, params) == []
 
@@ -371,6 +376,34 @@ def test_chart_sums_names_chart_and_size_of_a_zero_weight():
     # s1 + s2 = 0 kills the monomial t1^-1 t2^-1 of the first chart only
     with pytest.raises(ZeroWeightError, match=r"^chart 0, n=1: monomial \(-1, -1, 0, 0\)"):
         chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
+
+
+def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
+    # terms are summed as int pairs; euler_inverse is reached only for a
+    # zero product, and then once, to name the monomial.  This module's
+    # euler_inverse stays the real one and gives the reference rows.
+    calls = []
+    monkeypatch.setattr(vertex, "euler_inverse", lambda *a: calls.append(a) or euler_inverse(*a))
+    space = builtin_space("p3")
+    for bundle in (trivial_bundle(space, 1), split_bundle(space, TWISTS["p3"][1])):
+        charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+        params = EquivParams(s=(7, 19, 53), v=(101, 331)[: bundle.rank])
+        want = _per_term_rows(charts, bundle.rank, 4, params)
+        assert chart_sums(charts, bundle.rank, 4, params) == want
+    assert calls == []
+
+    # the running denominators share factors with the terms' denominators
+    divisors = []
+    real_gcd = vertex.gcd
+    monkeypatch.setattr(vertex, "gcd", lambda *a: divisors.append(real_gcd(*a)) or divisors[-1])
+    chart_sums(charts, bundle.rank, 4, params)
+    assert max(divisors) > 1
+
+    charts = [std_chart(), ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))]
+    with pytest.raises(ZeroWeightError) as got:
+        chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
+    assert str(got.value) == "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"
+    assert len(calls) == 1
 
 
 def test_chart_weights_must_be_unimodular():
@@ -392,7 +425,7 @@ _ROW_OPS = [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
 @st.composite
-def chart_characters(draw):
+def unimodular_charts(draw):
     rank = draw(st.integers(1, 3))
     rows = [list(v) for v in STD]
     for i, j in draw(st.lists(st.sampled_from(_ROW_OPS), max_size=6)):
@@ -401,8 +434,13 @@ def chart_characters(draw):
     if draw(st.booleans()):
         rows[0], rows[1] = rows[1], rows[0]
     twists = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=rank, max_size=rank))
-    chart = ChartWeights(tuple(map(tuple, rows)), tuple(twists))
-    cpp = draw(st.sampled_from(enum_colored(draw(st.integers(0, 4)), rank)))
+    return ChartWeights(tuple(map(tuple, rows)), tuple(twists))
+
+
+@st.composite
+def chart_characters(draw):
+    chart = draw(unimodular_charts())
+    cpp = draw(st.sampled_from(enum_colored(draw(st.integers(0, 4)), chart.rank)))
     return cpp, chart
 
 
@@ -449,6 +487,23 @@ def test_chart_characters_match_direct_ones(case, data):
         with pytest.raises(ZeroWeightError) as reference:
             _reference_euler(plain, zero)
         assert str(got.value) == str(reference.value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chart=unimodular_charts(), data=st.data())
+def test_chart_sums_equal_sums_of_euler_inverse(chart, data):
+    # weights up to a few hundred: the denominators share factors, so the
+    # int-pair sum reduces by a gcd > 1 on the way
+    r = chart.rank
+    small = st.integers(-50, 50)
+    params = EquivParams(tuple(data.draw(st.lists(small, min_size=3, max_size=3))),
+                         tuple(data.draw(st.lists(small, min_size=r, max_size=r))))
+    nmax = data.draw(st.integers(1, 3))
+    try:
+        rows = chart_sums((chart,), r, nmax, params)
+    except ZeroWeightError:
+        assume(False)
+    assert rows == _per_term_rows((chart,), r, nmax, params)
 
 
 _DIGIT = st.integers(-(MAX_BOX + 2), MAX_BOX + 1)
