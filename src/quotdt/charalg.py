@@ -7,8 +7,9 @@ tuples to nonzero integer coefficients.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Tuple
+
+from .record import Record
 
 Exponents = Tuple[int, ...]
 
@@ -150,23 +151,22 @@ def _raw(nvars: int, terms: dict) -> LaurentPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class EquivParams:
+class EquivParams(Record):
     """One sampled point of the torus parameters.
 
     s weights the three chart variables, v the color variables.  Integer
     entries keep every weight form an exact integer.
     """
 
-    s: tuple[int, int, int]
-    v: tuple[int, ...] = ()
+    __slots__ = ("s", "v")
 
-    def __post_init__(self):
-        if len(self.s) != 3:
+    def __init__(self, s: tuple[int, int, int], v: tuple[int, ...] = ()):
+        if len(s) != 3:
             raise ValueError("s must have exactly three entries")
-        for x in (*self.s, *self.v):
+        for x in (*s, *v):
             if not isinstance(x, int):
                 raise TypeError("parameters must be integers")
+        self._set(s, v)
 
     @property
     def rank(self) -> int:

@@ -9,24 +9,24 @@ sub-multiset of lambda of length at most r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Tuple
+
+from .record import Record
 
 Box = Tuple[int, int, int]
 Partition = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PlanePartition:
+class PlanePartition(Record):
     """A downward-closed finite set of boxes, stored as a sorted tuple."""
 
-    boxes: tuple[Box, ...]
+    __slots__ = ("boxes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(sorted(self.boxes)))
-        box_set = frozenset(self.boxes)
-        if len(box_set) != len(self.boxes):
+    def __init__(self, boxes: tuple[Box, ...]):
+        boxes = tuple(sorted(boxes))
+        box_set = frozenset(boxes)
+        if len(box_set) != len(boxes):
             raise ValueError("duplicate boxes")
         for (i, j, k) in box_set:
             if min(i, j, k) < 0:
@@ -34,6 +34,7 @@ class PlanePartition:
             for pred in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)):
                 if min(pred) >= 0 and pred not in box_set:
                     raise ValueError(f"box {(i, j, k)} is missing predecessor {pred}")
+        self._set(boxes)
 
     @property
     def size(self) -> int:
@@ -49,11 +50,13 @@ class PlanePartition:
 EMPTY_PLANE_PARTITION = PlanePartition(())
 
 
-@dataclass(frozen=True)
-class ColoredPlanePartition:
+class ColoredPlanePartition(Record):
     """An r-tuple of plane partitions, one per color."""
 
-    parts: tuple[PlanePartition, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[PlanePartition, ...]):
+        self._set(parts)
 
     @property
     def rank(self) -> int:
@@ -169,16 +172,15 @@ def enum_colored(n: int, r: int) -> tuple[ColoredPlanePartition, ...]:
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(Record):
     """A partition lambda with a sub-multiset mu of its parts."""
 
-    lam: Partition
-    mu: Partition
+    __slots__ = ("lam", "mu")
 
-    def __post_init__(self):
-        if not _is_submultiset(self.mu, self.lam):
-            raise ValueError(f"{self.mu} is not a sub-multiset of {self.lam}")
+    def __init__(self, lam: Partition, mu: Partition):
+        if not _is_submultiset(mu, lam):
+            raise ValueError(f"{mu} is not a sub-multiset of {lam}")
+        self._set(lam, mu)
 
 
 def _is_submultiset(mu: Partition, lam: Partition) -> bool:

@@ -31,7 +31,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(map(_exact, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -46,8 +46,8 @@ class Series:
     def monomial(cls, power: int, order: int, coeff: Fraction | int = 1) -> "Series":
         if not 0 <= power <= order:
             raise ValueError("monomial power outside truncation order")
-        cs = [Fraction(0)] * (order + 1)
-        cs[power] = Fraction(coeff)
+        cs = [0] * (order + 1)
+        cs[power] = coeff
         return cls(cs)
 
     # -- inspection -------------------------------------------------------
@@ -80,6 +80,8 @@ class Series:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "Series") -> None:
+        if not isinstance(other, Series):
+            raise TypeError(f"a Series cannot be combined with {type(other).__name__}")
         if self.order != other.order:
             raise ValueError("series have different truncation orders")
 
@@ -136,6 +138,13 @@ class Series:
         if sign == 1:
             return self
         return Series(c if n % 2 == 0 else -c for n, c in enumerate(self.coeffs))
+
+
+def _exact(c) -> Fraction:
+    """A coefficient as a Fraction; TypeError for a float, which is not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"series coefficient {c!r} is a float; use int or Fraction")
+    return Fraction(c)
 
 
 def _divide_exact(num: int, den: int, n: int) -> int:

@@ -16,7 +16,6 @@ by one loop (draw_admissible), which must agree exactly and be integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charalg import EquivParams, weight_form
@@ -26,6 +25,7 @@ from .errors import (
     ZeroWeightError,
 )
 from .partitions import enum_colored
+from .record import Record
 from .series import Series
 from .vertex import ChartWeights, chart_sums, determinant
 
@@ -35,8 +35,7 @@ PARAM_BOUND = 10 ** 6
 MAX_SAMPLE_ATTEMPTS = 32
 
 
-@dataclass(frozen=True)
-class ToricSpace:
+class ToricSpace(Record):
     """Chart data of a smooth toric 3-fold.
 
     twist_vertices[chart][factor] is the weight of the factor's degree one
@@ -44,21 +43,25 @@ class ToricSpace:
     with raw chart data, which must then supply bundles explicitly.
     """
 
-    name: str
-    charts: tuple[tuple[Vec3, Vec3, Vec3], ...]
-    twist_vertices: tuple[tuple[Vec3, ...], ...] | None = None
+    __slots__ = ("name", "charts", "twist_vertices")
 
-    def __post_init__(self):
-        if not self.charts:
+    def __init__(
+        self,
+        name: str,
+        charts: tuple[tuple[Vec3, Vec3, Vec3], ...],
+        twist_vertices: tuple[tuple[Vec3, ...], ...] | None = None,
+    ):
+        if not charts:
             raise ValueError("a toric space needs at least one chart")
-        for index, chart in enumerate(self.charts):
+        for index, chart in enumerate(charts):
             det = determinant(chart)
             if det not in (1, -1):
                 raise ValueError(
                     f"chart {index} has determinant {det}; charts must be unimodular"
                 )
-        if self.twist_vertices is not None and len(self.twist_vertices) != len(self.charts):
+        if twist_vertices is not None and len(twist_vertices) != len(charts):
             raise ValueError("twist vertex data must match the chart list")
+        self._set(name, charts, twist_vertices)
 
     @property
     def num_charts(self) -> int:
@@ -71,19 +74,18 @@ class ToricSpace:
         return len(self.twist_vertices[0])
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(Record):
     """A direct sum of line bundles given by per-chart characters in Z^3."""
 
-    rank: int
-    per_chart: tuple[tuple[Vec3, ...], ...]
+    __slots__ = ("rank", "per_chart")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, per_chart: tuple[tuple[Vec3, ...], ...]):
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        for colors in self.per_chart:
-            if len(colors) != self.rank:
+        for colors in per_chart:
+            if len(colors) != rank:
                 raise ValueError("each chart needs one character per summand")
+        self._set(rank, per_chart)
 
 
 _BUILTINS = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}

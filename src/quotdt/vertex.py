@@ -55,16 +55,16 @@ chart_sums returns the chart sums for every size n up to nmax.  It builds
 one weight table per chart for all sizes, and loops over partitions on the
 outside and charts on the inside, so each formal character is built once
 for all charts and held in a one-entry memo.  It takes the same two
-products as euler_inverse, but keeps each chart's running sum as an int
-pair N / D and adds a term top / bottom over lcm(D, bottom), so it builds
-one Fraction per chart and size, not one per term; it calls euler_inverse
-only on a zero product, to name the monomial.  vertex_character and
-chart_contribution keep their process-lifetime caches.
+products as euler_inverse, but adds the terms top / bottom of each chart
+pairwise, as unreduced int pairs N / D over gcd(D1, D2), so the two
+operands of an addition are partial sums of about the same size and it
+builds one Fraction per chart and size, not one per term; it calls
+euler_inverse only on a zero product, to name the monomial.
+vertex_character and chart_contribution keep their process-lifetime caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -73,6 +73,7 @@ from operator import mul, sub
 from .charalg import EquivParams
 from .errors import NonzeroFixedPartError, ZeroWeightError
 from .partitions import ColoredPlanePartition, enum_colored
+from .record import Record
 
 Vec3 = tuple[int, int, int]
 
@@ -85,26 +86,25 @@ def determinant(vectors) -> int:
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
 
-@dataclass(frozen=True)
-class ChartWeights:
+class ChartWeights(Record):
     """Tangent characters and color twists of one chart.
 
     tangent holds three vectors in Z^3, and twists one vector m_j in Z^3 per
     color: color j is the character u_j * t^(m_j).
     """
 
-    tangent: tuple[Vec3, Vec3, Vec3]
-    twists: tuple[Vec3, ...]
+    __slots__ = ("tangent", "twists")
 
-    def __post_init__(self):
-        det = determinant(self.tangent)
+    def __init__(self, tangent: tuple[Vec3, Vec3, Vec3], twists: tuple[Vec3, ...]):
+        det = determinant(tangent)
         if det not in (1, -1):
             raise ValueError(f"tangent characters have determinant {det}; charts must be unimodular")
-        if not self.twists:
+        if not twists:
             raise ValueError("at least one color is required")
-        for j, m in enumerate(self.twists):
+        for j, m in enumerate(twists):
             if len(m) != 3 or not all(isinstance(x, int) for x in m):
                 raise ValueError(f"twist {j} is {m}; twists must lie in Z^3")
+        self._set(tangent, twists)
 
     @property
     def rank(self) -> int:
@@ -353,6 +353,12 @@ def euler_inverse(char: ChartCharacter, params: EquivParams, weights=None) -> Fr
     raise ZeroWeightError(f"monomial {exps} has weight zero")
 
 
+def _add(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1 / d1 + n2 / d2 as an unreduced int pair over lcm(d1, d2)."""
+    g = gcd(d1, d2)
+    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
+
+
 def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[Fraction]]:
     """Per size n = 1..nmax, one row with each chart's sum of inverse Euler classes.
 
@@ -362,12 +368,15 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     once and evaluated in every chart.
 
     A term is two int products of table lookups, top / bottom, as in
-    euler_inverse, but no Fraction is built per term: each chart keeps its
-    running sum as an unreduced int pair N / D and adds a term over
-    lcm(D, bottom), so the whole sum costs one gcd per term and one
-    Fraction per chart and size.  A zero product is handed to euler_inverse,
-    which names the zero-weight monomial; the ZeroWeightError then names
-    the failing chart by its position in charts, and n.
+    euler_inverse, but no Fraction is built per term.  Each chart keeps a
+    binary counter of partial sums (count, N, D), unreduced int pairs: a
+    term is pushed as (1, top, bottom), and while the last two entries
+    cover the same number of terms they are merged over gcd(D1, D2).  So
+    the operands of an addition grow together, a chart holds
+    O(log #partitions) entries, and each chart and size folds its stack
+    into one Fraction.  A zero product is handed to euler_inverse, which
+    names the zero-weight monomial; the ZeroWeightError then names the
+    failing chart by its position in charts, and n.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
@@ -376,8 +385,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     tables = [chart_weights(chart, params) for chart in charts]
     rows = []
     for n in range(1, nmax + 1):
-        nums = [0] * len(tables)
-        dens = [1] * len(tables)
+        stacks = [[] for _ in tables]
         for cpp in enum_colored(n, rank):
             for i, table in enumerate(tables):
                 char = vertex_character(cpp, table.chart)
@@ -390,11 +398,21 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
                         euler_inverse(char, params, table)
                     except ZeroWeightError as exc:
                         raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
-                d = dens[i]
-                g = gcd(d, bottom)
-                nums[i] = nums[i] * (bottom // g) + top * (d // g)
-                dens[i] = d // g * bottom
-        rows.append([Fraction(a, b) for a, b in zip(nums, dens)])
+                stack = stacks[i]
+                count = 1
+                while stack and stack[-1][0] == count:
+                    _, a, b = stack.pop()
+                    top, bottom = _add(a, b, top, bottom)
+                    count *= 2
+                stack.append((count, top, bottom))
+        row = []
+        for stack in stacks:
+            _, top, bottom = stack.pop()
+            while stack:
+                _, a, b = stack.pop()
+                top, bottom = _add(a, b, top, bottom)
+            row.append(Fraction(top, bottom))
+        rows.append(row)
     return rows
 
 

@@ -511,9 +511,13 @@ def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
 
 def test_cli_import_skips_unused_modules():
     # chern is imported only by the chern and cobordism commands, and the
-    # package resolves its re-exports on first access
+    # package resolves its re-exports on first access.  The value types are
+    # slotted records, so dataclasses and the inspect it pulls in stay out
+    # unless the interpreter's own start-up loaded them.
     code = (
-        "import sys, quotdt.cli, quotdt; "
+        "import sys; before = set(sys.modules); import quotdt.cli, quotdt; "
+        "added = {'dataclasses', 'inspect'} & set(sys.modules) - before; "
+        "assert not added, sorted(added); "
         "assert 'quotdt.chern' not in sys.modules, 'chern'; "
         "assert 'concurrent.futures' not in sys.modules, 'futures'; "
         "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__); "

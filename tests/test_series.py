@@ -202,6 +202,17 @@ def test_order_mismatch_rejected():
         Series((1, 2)) + Series((1, 2, 3))
 
 
+def test_float_coefficients_are_refused():
+    for coeffs in ([1, 0.5], (1.0,), [Fraction(1), 2, -0.0]):
+        with pytest.raises(TypeError, match="is a float"):
+            Series(coeffs)
+    with pytest.raises(TypeError, match="is a float"):
+        Series.monomial(1, 2, coeff=0.5)
+    for combine in (lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5):
+        with pytest.raises(TypeError, match="cannot be combined with float"):
+            combine(Series((1, 2)))
+
+
 def test_monomial_and_coeff():
     s = Series.monomial(2, 4, coeff=7)
     assert s.coeff(2) == 7

@@ -361,13 +361,15 @@ def _per_term_rows(charts, rank, nmax, params):
 @pytest.mark.parametrize("name", sorted(TWISTS))
 def test_chart_sums_match_chart_by_chart_sums(name):
     space = builtin_space(name)
-    bundles = [trivial_bundle(space, 1), split_bundle(space, TWISTS[name][1]),
-               trivial_bundle(space, 3)]
-    for bundle in bundles:
+    # p3 rank 1 has 1, 3, 6, 13, 24 and 48 partitions of sizes 1 to 6, so
+    # the pairwise sums leave stacks of several levels and odd counts
+    cases = [(trivial_bundle(space, 1), 6 if name == "p3" else 4),
+             (split_bundle(space, TWISTS[name][1]), 4), (trivial_bundle(space, 3), 4)]
+    for bundle, nmax in cases:
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
         params = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[: bundle.rank])
-        want = _per_term_rows(charts, bundle.rank, 4, params)
-        assert chart_sums(charts, bundle.rank, 4, params) == want
+        want = _per_term_rows(charts, bundle.rank, nmax, params)
+        assert chart_sums(charts, bundle.rank, nmax, params) == want
         assert chart_sums(charts, bundle.rank, 0, params) == []
 
 
