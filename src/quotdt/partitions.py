@@ -36,6 +36,13 @@ class PlanePartition(Record):
                     raise ValueError(f"box {(i, j, k)} is missing predecessor {pred}")
         self._set(boxes)
 
+    @classmethod
+    def _trusted(cls, boxes) -> "PlanePartition":
+        """A plane partition from boxes known to be downward closed; only sorts them."""
+        partition = cls.__new__(cls)
+        partition._set(tuple(sorted(boxes)))
+        return partition
+
     @property
     def size(self) -> int:
         return len(self.boxes)
@@ -123,7 +130,8 @@ def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
                 for i, row in enumerate(diagram)
                 for j in range(row)
             ]
-            results.append(PlanePartition(tuple(boxes)))
+            # each layer lies inside the one below, so the boxes are downward closed
+            results.append(PlanePartition._trusted(boxes))
             return
         for nxt in _subdiagrams(layers[-1]):
             size = sum(nxt)

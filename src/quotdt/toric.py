@@ -8,7 +8,12 @@ factor, the vertex used to linearize a line bundle twist, so split bundles
 can be built from twist tuples.  Invariants are assembled as the product
 over charts of the series 1 + sum_n c_n q^n of the chart sums c_n, which
 one vertex.chart_sums call per parameter point computes for all charts and
-all sizes n through nmax, with one weight table per chart.
+all sizes n through nmax, with one weight table per chart.  The product
+is one int convolution (_product_over_charts): each chart's row is scaled
+by the lcm of its denominators, and each coefficient of the product takes
+one exact division by the product of those lcms, so a Fraction is built
+only for a coefficient that is not an integer.  count_fixed_points takes
+the same product of its counts.
 They are computed at several independently sampled parameter points, drawn
 by one loop (draw_admissible), which must agree exactly and be integers.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .charalg import EquivParams, weight_form
 from .errors import (
@@ -211,20 +217,40 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     return first
 
 
-def _product_over_charts(per_chart, nmax: int) -> Series:
-    """The product over charts of each chart's series, truncated at q^nmax."""
-    product = Series.one(nmax)
-    for coeffs in per_chart:
-        product = product * Series(coeffs)
-    return product
+def _product_over_charts(rows, nmax: int) -> tuple:
+    """Coefficients through q^nmax of the product of the series given by rows.
+
+    Row i holds the coefficients c_0..c_nmax of one chart's series.  Each
+    row is scaled to ints by the lcm L_i of its denominators, the rows are
+    convolved in ints truncated at q^nmax, and each coefficient is divided
+    once by prod_i L_i: it is an int when the division is exact, and a
+    Fraction otherwise.
+    """
+    acc = [1] + [0] * nmax
+    scale = 1
+    for row in rows:
+        den = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        scale *= den
+        out = [0] * (nmax + 1)
+        for i, a in enumerate(acc):
+            if a:
+                for j in range(nmax + 1 - i):
+                    out[i + j] += a * ints[j]
+        acc = out
+    coeffs = []
+    for c in acc:
+        q, rem = divmod(c, scale)
+        coeffs.append(Fraction(c, scale) if rem else q)
+    return tuple(coeffs)
 
 
 def _series_values(
     space: ToricSpace, bundle: SplitBundle, nmax: int, params: EquivParams
-) -> tuple[Fraction, ...]:
+) -> tuple[int | Fraction, ...]:
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
     rows = chart_sums(charts, bundle.rank, nmax, params)
-    return _product_over_charts(((1, *values) for values in zip(*rows)), nmax).coeffs
+    return _product_over_charts(((1, *values) for values in zip(*rows)), nmax)
 
 
 def dt_series(
@@ -278,4 +304,4 @@ def count_fixed_points(space: ToricSpace, rank: int, nmax: int) -> tuple[int, ..
     coefficients of the product over charts of sum_m #enum_colored(m) q^m.
     """
     counts = tuple(len(enum_colored(m, rank)) for m in range(nmax + 1))
-    return _product_over_charts((counts,) * space.num_charts, nmax).integer_coeffs()
+    return _product_over_charts((counts,) * space.num_charts, nmax)

@@ -46,19 +46,22 @@ injective, so it needs no merging and no second constant check.
 vertex_character returns a chart character, the formal character and the
 chart; chart_terms substitutes its exponent dict, which only the vertex
 tables and symmetry_defect read.  euler_inverse weighs a code through
-chart_weights, a dict for one chart and one parameter point that fills
-itself on lookup with x w1 + y w2 + z w3 plus color k's weight minus color
-j's, where w_i = a_i . s and color j weighs m_j . s + v_j.  The inverse
-Euler class is then two products of table lookups.
+chart_weights, a dict for one chart and one parameter point that maps the
+code to x w1 + y w2 + z w3 plus color k's weight minus color j's, where
+w_i = a_i . s and color j weighs m_j . s + v_j.  _weigh adds codes to
+tables: it unpacks each code once and fills each table with one
+comprehension.  The inverse Euler class is then two products of table
+lookups.
 
 chart_sums returns the chart sums for every size n up to nmax.  It builds
 one weight table per chart for all sizes, and loops over partitions on the
 outside and charts on the inside, so each formal character is built once
-for all charts and held in a one-entry memo.  It takes the same two
-products as euler_inverse, but adds the terms top / bottom of each chart
-pairwise, as unreduced int pairs N / D over gcd(D1, D2), so the two
-operands of an addition are partial sums of about the same size and it
-builds one Fraction per chart and size, not one per term; it calls
+for all charts and held in a one-entry memo.  Before it evaluates a size,
+it weighs that size's new codes into every table at once.  It takes the
+same two products as euler_inverse, but adds the terms top / bottom of
+each chart pairwise, as unreduced int pairs N / D over gcd(D1, D2), so
+the two operands of an addition are partial sums of about the same size
+and it builds one Fraction per chart and size, not one per term; it calls
 euler_inverse only on a zero product, to name the monomial.
 vertex_character and chart_contribution keep their process-lifetime caches.
 """
@@ -292,26 +295,21 @@ def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> ChartCh
 
 
 class _WeightTable(dict):
-    """Code -> weight in one chart at one parameter point, filled on lookup.
+    """Code -> weight in one chart at one parameter point.
 
     tangent holds w1, w2 and w3, and offsets[pair] the weight of color k
-    minus that of color j (0 for the diagonal pair 0).
+    minus that of color j (0 for the diagonal pair 0).  _weigh adds codes.
     """
 
     __slots__ = ("chart", "params", "tangent", "offsets")
-
-    def __missing__(self, code: int) -> int:
-        pair, x, y, z = _unpack(code)
-        w1, w2, w3 = self.tangent
-        weight = self[code] = x * w1 + y * w2 + z * w3 + self.offsets[pair]
-        return weight
 
 
 def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
     """The weight table of a chart at a parameter point, for euler_inverse.
 
-    It starts empty and weighs a code on its first lookup.  One table
-    serves every character of the chart at that point.
+    It starts empty; euler_inverse and chart_sums weigh the codes they
+    read through _weigh.  One table serves every character of the chart
+    at that point.
     """
     if chart.rank != params.rank:
         raise ValueError("parameter rank does not match chart rank")
@@ -323,6 +321,18 @@ def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
     table.tangent = tuple(sum(map(mul, a, s)) for a in chart.tangent)
     table.offsets = [0] + [ck - cj for cj in colors for ck in colors]
     return table
+
+
+def _weigh(tables, codes) -> None:
+    """Add the weight of each code to every table, unpacking each code once."""
+    digits = {code: _unpack(code) for code in codes}
+    for table in tables:
+        w1, w2, w3 = table.tangent
+        offsets = table.offsets
+        table.update({
+            code: x * w1 + y * w2 + z * w3 + offsets[pair]
+            for code, (pair, x, y, z) in digits.items()
+        })
 
 
 def euler_inverse(char: ChartCharacter, params: EquivParams, weights=None) -> Fraction:
@@ -344,6 +354,7 @@ def euler_inverse(char: ChartCharacter, params: EquivParams, weights=None) -> Fr
     ):
         raise ValueError("weights belong to another chart or parameter point")
     terms, num, den = char.formal
+    _weigh((weights,), set(terms).difference(weights))
     weigh = weights.__getitem__
     top = prod(map(weigh, num))
     bottom = prod(map(weigh, den))
@@ -363,9 +374,11 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     """Per size n = 1..nmax, one row with each chart's sum of inverse Euler classes.
 
     Row n - 1 holds, chart by chart, the sum over the colored partitions of
-    size n.  Each chart's weight table is built once for all sizes.  The
-    partitions are the outer loop, so each one's formal character is built
-    once and evaluated in every chart.
+    size n.  Each chart's weight table is built once for all sizes.  For
+    each size, the partitions are the outer loop and the charts the inner
+    one, so each formal character is built once for all charts.  The
+    size's codes that no table holds yet are then unpacked once and
+    weighed into every table (_weigh) before any term is evaluated.
 
     A term is two int products of table lookups, top / bottom, as in
     euler_inverse, but no Fraction is built per term.  Each chart keeps a
@@ -385,10 +398,18 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     tables = [chart_weights(chart, params) for chart in charts]
     rows = []
     for n in range(1, nmax + 1):
+        # the characters of each partition, one per chart
+        characters = [
+            [vertex_character(cpp, table.chart) for table in tables]
+            for cpp in enum_colored(n, rank)
+        ]
+        if tables:
+            codes = set().union(*(chars[0].formal[0] for chars in characters))
+            _weigh(tables, codes.difference(tables[0]))
         stacks = [[] for _ in tables]
-        for cpp in enum_colored(n, rank):
-            for i, table in enumerate(tables):
-                char = vertex_character(cpp, table.chart)
+        for chars in characters:
+            for i, char in enumerate(chars):
+                table = tables[i]
                 _, num, den = char.formal
                 weigh = table.__getitem__
                 top = prod(map(weigh, num))

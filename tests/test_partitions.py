@@ -52,6 +52,16 @@ def test_counts_match_macmahon():
         assert count_plane_partitions(n) == coeffs[n]
 
 
+def test_enumerated_partitions_pass_the_validating_constructor():
+    # enumeration builds its partitions without the checks; each must equal
+    # the one the public constructor validates and sorts
+    for n in range(9):
+        for pp in enum_plane_partitions(n):
+            checked = PlanePartition(pp.boxes)
+            assert pp == checked and hash(pp) == hash(checked)
+            assert pp.boxes == checked.boxes == tuple(sorted(pp.boxes))
+
+
 def test_plane_partition_validation():
     PlanePartition(((0, 0, 0), (1, 0, 0)))
     with pytest.raises(ValueError):

@@ -7,13 +7,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quotdt
 from quotdt import toric, vertex
 from quotdt.charalg import EquivParams
-from quotdt.errors import ParameterDependenceError, ZeroWeightError
+from quotdt.errors import NonIntegralError, ParameterDependenceError, ZeroWeightError
 from quotdt.partitions import compositions, enum_colored
-from quotdt.series import dt_closed_formula, macmahon, series_pow
+from quotdt.series import Series, dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
     SplitBundle,
     ToricSpace,
@@ -220,8 +221,38 @@ def test_count_fixed_points_vs_macmahon_power():
     for name in ("p3", "p2xp1", "p1cubed"):
         space = builtin_space(name)
         for rank in (1, 2):
-            coeffs = series_pow(macmahon(3), rank * space.num_charts).integer_coeffs()
-            assert count_fixed_points(space, rank, 3) == coeffs
+            coeffs = series_pow(macmahon(5), rank * space.num_charts).integer_coeffs()
+            counts = count_fixed_points(space, rank, 5)
+            assert counts == coeffs
+            assert all(type(c) is int for c in counts)
+
+
+_COEFFS = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_assembly_equals_the_series_product(data):
+    # the product's coefficients are ints where exact, reduced Fractions
+    # elsewhere, and equal the Series product either way
+    nmax = data.draw(st.integers(0, 6))
+    row = st.lists(_COEFFS, min_size=nmax + 1, max_size=nmax + 1)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    want = Series.one(nmax)
+    for coeffs in rows:
+        want = want * Series(coeffs)
+    got = toric._product_over_charts(rows, nmax)
+    assert got == want.coeffs
+    assert all(type(c) is int or c.denominator != 1 for c in got)
+
+
+def test_non_integral_series_names_its_coefficient(monkeypatch):
+    # four charts whose q^1 sums are 1/8 give the non-integral 1/2
+    p3 = builtin_space("p3")
+    monkeypatch.setattr(toric, "chart_sums", lambda charts, *args: [[Fraction(1, 8)] * len(charts)])
+    with pytest.raises(NonIntegralError) as info:
+        dt_series(p3, trivial_bundle(p3), 1)
+    assert str(info.value) == "coefficient of q^1 is 1/2"
 
 
 @pytest.mark.parametrize(

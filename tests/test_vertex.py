@@ -9,7 +9,8 @@ LaurentPoly products, which shares no code with the engine, also when
 calls alternate between partitions and charts and on random unimodular
 charts, and euler_inverse's scalar weights against the exponent-dict loop
 _reference_euler.  The partition-outer chart_sums is checked against
-chart-by-chart sums.
+chart-by-chart sums, and its weight tables against the codes of its
+characters, each unpacked once per call.
 """
 
 import json
@@ -406,6 +407,53 @@ def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
         chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
     assert str(got.value) == "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"
     assert len(calls) == 1
+
+
+def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes(monkeypatch):
+    unpacked = []
+    tables = []
+    unpack, weights = vertex._unpack, vertex.chart_weights
+    monkeypatch.setattr(vertex, "_unpack", lambda code: unpacked.append(code) or unpack(code))
+    monkeypatch.setattr(vertex, "chart_weights", lambda *a: tables.append(weights(*a)) or tables[-1])
+    space = builtin_space("p2xp1")
+    bundle = split_bundle(space, TWISTS["p2xp1"][1])
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    params = EquivParams(s=(7, 19, 53), v=(101, 331))
+    nmax = 3
+    chart_sums(charts, bundle.rank, nmax, params)
+    codes = set(unpacked)
+    assert len(unpacked) == len(codes)
+    assert [table.chart for table in tables] == charts
+    values = params.s + params.v
+    for table in tables:
+        chars = [vertex_character(cpp, table.chart)
+                 for n in range(1, nmax + 1) for cpp in enum_colored(n, bundle.rank)]
+        assert table.keys() == set().union(*(char.formal[0] for char in chars)) == codes
+        for char in chars:
+            for code, exps in zip(char.formal[0], chart_terms(char)):
+                assert table[code] == sum(map(mul, exps, values))
+
+
+def test_euler_inverse_weighs_missing_codes_into_the_table_it_is_given():
+    space = builtin_space("p3")
+    bundle = split_bundle(space, TWISTS["p3"][1])
+    chart = chart_of(space, bundle, 1)
+    params = EquivParams(s=(7, 19, 53), v=(101, 331))
+    table = chart_weights(chart, params)
+    seen = set()
+    for cpp in enum_colored(3, 2):
+        char = vertex_character(cpp, chart)
+        assert euler_inverse(char, params, table) == _reference_euler(_plain(char), params)
+        seen |= char.formal[0].keys()
+        assert table.keys() == seen
+    # on a fresh table a zero weight names the monomial the reference walk names
+    char = vertex_character(one_box(), std_chart())
+    zero = EquivParams(s=(1, -1, 5), v=(3,))
+    with pytest.raises(ZeroWeightError) as got:
+        euler_inverse(char, zero, chart_weights(std_chart(), zero))
+    with pytest.raises(ZeroWeightError) as reference:
+        _reference_euler(_plain(char), zero)
+    assert str(got.value) == str(reference.value) == "monomial (-1, -1, 0, 0) has weight zero"
 
 
 def test_chart_weights_must_be_unimodular():
