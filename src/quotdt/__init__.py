@@ -3,8 +3,8 @@
 Fixed points of the big torus action are colored plane partitions; each
 contributes the inverse equivariant Euler class of its virtual tangent
 character, and the weighted count is an integer matching the closed formula
-M((-1)^r q)^(r * c3(T tensor K)).  Everything is exact: big integers,
-Fractions, and sparse Laurent polynomials; no floats anywhere.
+M((-1)^r q)^(r * c3(T tensor K)).  Everything is exact: big integers
+and Fractions; no floats anywhere.
 
 The names below are imported from their modules on first access (PEP 562),
 so `import quotdt.cli` loads only the modules a command uses.
@@ -15,7 +15,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "charalg": ("EquivParams", "LaurentPoly", "weight_form"),
     "chern": (
         "BundleClass",
         "ChernRing",
@@ -49,7 +48,6 @@ _EXPORTS = {
         "ColoredPlanePartition",
         "PartitionPair",
         "PlanePartition",
-        "count_plane_partitions",
         "enum_colored",
         "enum_partition_pairs",
         "enum_plane_partitions",
@@ -69,6 +67,7 @@ _EXPORTS = {
     ),
     "vertex": (
         "ChartWeights",
+        "EquivParams",
         "chart_contribution",
         "chart_sums",
         "chart_terms",

@@ -165,8 +165,8 @@ def ring_of_projective_product(lam) -> ChernRing:
     return ring
 
 
-def projective_bundle_ring(base: str, twist, sign: int = conventions.GROTHENDIECK_SIGN) -> ChernRing:
-    """Ring of P(O + L) over the base P^2 (base "p2"); L has degree `twist`.
+def projective_bundle_ring(twist, sign: int = conventions.GROTHENDIECK_SIGN) -> ChernRing:
+    """Ring of P(O + L) over P^2; L has degree `twist`.
 
     xi is the degree one relative class; the quadratic relation is
     xi^2 = sign * c1(L) xi with the calibrated sign, and the fiber integral is
@@ -174,8 +174,6 @@ def projective_bundle_ring(base: str, twist, sign: int = conventions.GROTHENDIEC
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if base != "p2":
-        raise ValueError(f"unsupported base {base!r}")
     twist = int(twist)
     gens = ("h", "xi")
     ell = {(1, 0): Fraction(twist)} if twist else {}
@@ -252,7 +250,7 @@ def named_ring(name: str) -> ChernRing:
             raise ValueError(
                 f"ring {name!r}: a projective bundle ring is pbundle-p2-<d> with an integer twist d"
             ) from None
-        return projective_bundle_ring("p2", twist)
+        return projective_bundle_ring(twist)
     raise ValueError(f"unknown ring {name!r}")
 
 
@@ -482,19 +480,19 @@ def quadric_dpr() -> tuple:
         quadric_threefold(),
         blowup_p3_conic(),
         ring_of_projective_product((3,)),
-        projective_bundle_ring("p2", 1),
+        projective_bundle_ring(1),
     )
     return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 
 
 def normal_cone_dpr() -> tuple:
     """Deformation to the normal cone of a plane in P^3; passes identically."""
-    plane_bundle = projective_bundle_ring("p2", 1)
+    plane_bundle = projective_bundle_ring(1)
     spaces = (
         ring_of_projective_product((3,)),
         ring_of_projective_product((3,)),
         plane_bundle,
-        projective_bundle_ring("p2", 1),
+        projective_bundle_ring(1),
     )
     return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 
@@ -510,7 +508,7 @@ def naive_quadric_dpr() -> tuple:
         quadric_threefold(),
         ring_of_projective_product((3,)),
         ring_of_projective_product((3,)),
-        projective_bundle_ring("p2", 1),
+        projective_bundle_ring(1),
     )
     return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 

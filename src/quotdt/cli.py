@@ -26,6 +26,7 @@ from .errors import QuotDTError
 from .partitions import enum_colored
 from .series import dt_closed_formula, macmahon, series_pow
 from .toric import (
+    BUILTIN_SPACES,
     SplitBundle,
     ToricSpace,
     builtin_space,
@@ -484,9 +485,6 @@ def cmd_vertex(args) -> tuple[dict, int]:
     return report, EXIT_OK if symmetric else EXIT_INVARIANT
 
 
-_TORIC_RINGS = {"p3", "p2xp1", "p1cubed"}
-
-
 def _monomial_label(a, b) -> str:
     parts = []
     for base, exps in (("c", a), ("f", b)):
@@ -512,7 +510,7 @@ def cmd_chern(args) -> tuple[dict, int]:
     }
     verdicts = {}
     ok = True
-    if args.space in _TORIC_RINGS:
+    if args.space in BUILTIN_SPACES:
         localized = c3_via_localization(builtin_space(args.space), seed=args.seed, trials=args.trials)
         values["c3_via_localization"] = localized
         ok = localized == values["c3_t_omega"]

@@ -147,10 +147,6 @@ def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
     return tuple(results)
 
 
-def count_plane_partitions(n: int) -> int:
-    return len(enum_plane_partitions(n))
-
-
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of n into k ordered parts, lexicographically largest first."""
     if k == 0:

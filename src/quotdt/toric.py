@@ -23,8 +23,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .charalg import EquivParams, weight_form
 from .errors import (
     NonIntegralError,
     ParameterDependenceError,
@@ -33,7 +33,7 @@ from .errors import (
 from .partitions import enum_colored
 from .record import Record
 from .series import Series
-from .vertex import ChartWeights, chart_sums, determinant
+from .vertex import ChartWeights, EquivParams, chart_sums, determinant
 
 Vec3 = tuple[int, int, int]
 
@@ -94,7 +94,8 @@ class SplitBundle(Record):
         self._set(rank, per_chart)
 
 
-_BUILTINS = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}
+# The built-in spaces by name, each with the dimensions of its projective factors.
+BUILTIN_SPACES = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}
 
 
 def _projective_product(name: str, dims: tuple[int, ...]) -> ToricSpace:
@@ -128,9 +129,9 @@ def _projective_product(name: str, dims: tuple[int, ...]) -> ToricSpace:
 
 def builtin_space(name: str) -> ToricSpace:
     try:
-        dims = _BUILTINS[name]
+        dims = BUILTIN_SPACES[name]
     except KeyError:
-        raise ValueError(f"unknown space {name!r}; choose from {sorted(_BUILTINS)}") from None
+        raise ValueError(f"unknown space {name!r}; choose from {sorted(BUILTIN_SPACES)}") from None
     return _projective_product(name, dims)
 
 
@@ -279,7 +280,7 @@ def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> in
     def compute(params: EquivParams) -> Fraction:
         total = Fraction(0)
         for index, chart in enumerate(space.charts):
-            ws = [weight_form(v, params) for v in chart]
+            ws = [sum(map(mul, a, params.s)) for a in chart]
             if any(w == 0 for w in ws):
                 raise ZeroWeightError(f"chart {index}: a tangent weight is zero")
             sigma = sum(ws)

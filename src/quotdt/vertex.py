@@ -45,9 +45,10 @@ vector e_j of u_j.  Charts must be unimodular; then the substitution is
 injective, so it needs no merging and no second constant check.
 vertex_character returns a chart character, the formal character and the
 chart; chart_terms substitutes its exponent dict, which only the vertex
-tables and symmetry_defect read.  euler_inverse weighs a code through
-chart_weights, a dict for one chart and one parameter point that maps the
-code to x w1 + y w2 + z w3 plus color k's weight minus color j's, where
+tables, symmetry_defect and the naming of a zero weight read.
+euler_inverse(char, params) builds its own weight table, chart_weights: a
+dict for one chart and one parameter point that maps a code to
+x w1 + y w2 + z w3 plus color k's weight minus color j's, where
 w_i = a_i . s and color j weighs m_j . s + v_j.  _weigh adds codes to
 tables: it unpacks each code once and fills each table with one
 comprehension.  The inverse Euler class is then two products of table
@@ -61,8 +62,9 @@ it weighs that size's new codes into every table at once.  It takes the
 same two products as euler_inverse, but adds the terms top / bottom of
 each chart pairwise, as unreduced int pairs N / D over gcd(D1, D2), so
 the two operands of an addition are partial sums of about the same size
-and it builds one Fraction per chart and size, not one per term; it calls
-euler_inverse only on a zero product, to name the monomial.
+and it builds one Fraction per chart and size, not one per term.  It never
+calls euler_inverse: both name a zero weight through _zero_weight, which
+builds the exponents of the first zero-weight monomial in formal order.
 vertex_character and chart_contribution keep their process-lifetime caches.
 """
 
@@ -73,7 +75,6 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul, sub
 
-from .charalg import EquivParams
 from .errors import NonzeroFixedPartError, ZeroWeightError
 from .partitions import ColoredPlanePartition, enum_colored
 from .record import Record
@@ -82,9 +83,15 @@ Vec3 = tuple[int, int, int]
 
 
 def determinant(vectors) -> int:
-    """Determinant of three vectors in Z^3; ValueError for any other shape."""
+    """Determinant of three vectors in Z^3; ValueError for any other shape or entry."""
     if len(vectors) != 3 or any(len(v) != 3 for v in vectors):
         raise ValueError("a chart needs three tangent characters in Z^3")
+    for v in vectors:
+        for x in v:
+            if not isinstance(x, int):
+                raise ValueError(
+                    f"tangent character {v} has entry {x!r}; tangent characters must lie in Z^3"
+                )
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vectors
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
@@ -294,6 +301,28 @@ def vertex_character(cpp: ColoredPlanePartition, chart: ChartWeights) -> ChartCh
     return ChartCharacter(_formal_character(cpp), chart)
 
 
+class EquivParams(Record):
+    """One sampled point of the torus parameters.
+
+    s weights the three chart variables, v the color variables.  Integer
+    entries keep every weight an exact integer.
+    """
+
+    __slots__ = ("s", "v")
+
+    def __init__(self, s: tuple[int, int, int], v: tuple[int, ...] = ()):
+        if len(s) != 3:
+            raise ValueError("s must have exactly three entries")
+        for x in (*s, *v):
+            if not isinstance(x, int):
+                raise TypeError("parameters must be integers")
+        self._set(s, v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.v)
+
+
 class _WeightTable(dict):
     """Code -> weight in one chart at one parameter point.
 
@@ -301,7 +330,7 @@ class _WeightTable(dict):
     minus that of color j (0 for the diagonal pair 0).  _weigh adds codes.
     """
 
-    __slots__ = ("chart", "params", "tangent", "offsets")
+    __slots__ = ("tangent", "offsets")
 
 
 def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
@@ -316,8 +345,6 @@ def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
     s = params.s
     colors = [sum(map(mul, m, s)) + v for m, v in zip(chart.twists, params.v)]
     table = _WeightTable()
-    table.chart = chart
-    table.params = params
     table.tangent = tuple(sum(map(mul, a, s)) for a in chart.tangent)
     table.offsets = [0] + [ck - cj for cj in colors for ck in colors]
     return table
@@ -335,33 +362,36 @@ def _weigh(tables, codes) -> None:
         })
 
 
-def euler_inverse(char: ChartCharacter, params: EquivParams, weights=None) -> Fraction:
+def _zero_weight(char: ChartCharacter, table: _WeightTable) -> ZeroWeightError:
+    """The error for a zero weight of char in table, naming the first such monomial.
+
+    The monomial is the first in formal order, by its exponent in Z^(3 + r);
+    chart_terms is built only here.
+    """
+    terms = char.formal[0]
+    exps = next(e for code, e in zip(terms, chart_terms(char)) if table[code] == 0)
+    return ZeroWeightError(f"monomial {exps} has weight zero")
+
+
+def euler_inverse(char: ChartCharacter, params: EquivParams) -> Fraction:
     """Inverse equivariant Euler class of a chart character, from 3 + r scalar weights.
 
     Moving monomials with positive coefficient contribute their weight to the
-    denominator, negative ones to the numerator.  weights is
-    chart_weights(char.chart, params), built here when it is not given.  A
-    zero weight means the parameters are inadmissible for this character;
-    the error names the first such monomial in formal order by its exponent
-    in Z^(3 + r), which is built only then.
+    denominator, negative ones to the numerator, read from a weight table
+    built here.  A zero weight means the parameters are inadmissible for
+    this character; _zero_weight names the monomial.
     """
     if not isinstance(char, ChartCharacter):
         raise TypeError("euler_inverse takes a chart character from vertex_character")
-    if weights is None:
-        weights = chart_weights(char.chart, params)
-    elif (weights.chart is not char.chart and weights.chart != char.chart) or (
-        weights.params is not params and weights.params != params
-    ):
-        raise ValueError("weights belong to another chart or parameter point")
+    table = chart_weights(char.chart, params)
     terms, num, den = char.formal
-    _weigh((weights,), set(terms).difference(weights))
-    weigh = weights.__getitem__
+    _weigh((table,), terms)
+    weigh = table.__getitem__
     top = prod(map(weigh, num))
     bottom = prod(map(weigh, den))
     if top and bottom:
         return Fraction(top, bottom)
-    exps = next(e for code, e in zip(terms, chart_terms(char)) if weights[code] == 0)
-    raise ZeroWeightError(f"monomial {exps} has weight zero")
+    raise _zero_weight(char, table)
 
 
 def _add(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
@@ -387,9 +417,9 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     cover the same number of terms they are merged over gcd(D1, D2).  So
     the operands of an addition grow together, a chart holds
     O(log #partitions) entries, and each chart and size folds its stack
-    into one Fraction.  A zero product is handed to euler_inverse, which
-    names the zero-weight monomial; the ZeroWeightError then names the
-    failing chart by its position in charts, and n.
+    into one Fraction.  A zero product raises the ZeroWeightError of
+    _zero_weight, as in euler_inverse, prefixed with the failing chart's
+    position in charts and n.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
@@ -400,7 +430,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     for n in range(1, nmax + 1):
         # the characters of each partition, one per chart
         characters = [
-            [vertex_character(cpp, table.chart) for table in tables]
+            [vertex_character(cpp, chart) for chart in charts]
             for cpp in enum_colored(n, rank)
         ]
         if tables:
@@ -415,10 +445,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
                 top = prod(map(weigh, num))
                 bottom = prod(map(weigh, den))
                 if not (top and bottom):
-                    try:
-                        euler_inverse(char, params, table)
-                    except ZeroWeightError as exc:
-                        raise ZeroWeightError(f"chart {i}, n={n}: {exc}") from None
+                    raise ZeroWeightError(f"chart {i}, n={n}: {_zero_weight(char, table)}")
                 stack = stacks[i]
                 count = 1
                 while stack and stack[-1][0] == count:

@@ -1,15 +1,14 @@
-"""Sparse integer Laurent polynomials and equivariant weight forms.
+"""Sparse integer Laurent polynomials, the tests' independent reference.
 
-Characters live in Z[t1^+-, t2^+-, t3^+-, u1^+-, ..., ur^+-].  A monomial is
-an exponent tuple of length 3 + r; a polynomial is a sparse map from exponent
-tuples to nonzero integer coefficients.  Everything is exact.
+A monomial is an exponent tuple of length nvars; a polynomial is a sparse map
+from exponent tuples to nonzero integer coefficients.  The tests build the
+three-term virtual character with these products and compare the engine's
+chart characters against it; nothing in the package uses this module.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Tuple
-
-from .record import Record
 
 Exponents = Tuple[int, ...]
 
@@ -149,38 +148,3 @@ def _raw(nvars: int, terms: dict) -> LaurentPoly:
     object.__setattr__(poly, "_terms", terms)
     object.__setattr__(poly, "_hash", None)
     return poly
-
-
-class EquivParams(Record):
-    """One sampled point of the torus parameters.
-
-    s weights the three chart variables, v the color variables.  Integer
-    entries keep every weight form an exact integer.
-    """
-
-    __slots__ = ("s", "v")
-
-    def __init__(self, s: tuple[int, int, int], v: tuple[int, ...] = ()):
-        if len(s) != 3:
-            raise ValueError("s must have exactly three entries")
-        for x in (*s, *v):
-            if not isinstance(x, int):
-                raise TypeError("parameters must be integers")
-        self._set(s, v)
-
-    @property
-    def rank(self) -> int:
-        return len(self.v)
-
-    @property
-    def nvars(self) -> int:
-        return 3 + len(self.v)
-
-
-def weight_form(exps: Iterable[int], params: EquivParams) -> int:
-    """Linear form of a monomial exponent at the sampled parameters."""
-    exps = tuple(exps)
-    if len(exps) != params.nvars:
-        raise ValueError(f"exponent tuple {exps} does not match rank {params.rank} parameters")
-    values = params.s + params.v
-    return sum(e * w for e, w in zip(exps, values))

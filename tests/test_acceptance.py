@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from quotdt import chern as C
 from quotdt import cli
-from quotdt.charalg import LaurentPoly
 from quotdt.partitions import compositions, enum_colored, enum_partition_pairs
 from quotdt.series import dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
@@ -29,6 +28,8 @@ from quotdt.toric import (
     trivial_bundle,
 )
 from quotdt.vertex import chart_terms, symmetry_defect, vertex_character
+
+from laurent import LaurentPoly
 
 BLOWUP_P3_POINT = (
     ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
@@ -173,7 +174,7 @@ def test_criterion_8_cobordism_suite():
     # the exponent of P(O + O(1)) over P^2, two independent ways: its
     # intersection ring, and localization on the isomorphic one-point
     # blow-up of P^3
-    via_ring = C.c3_t_omega(C.projective_bundle_ring("p2", 1))
+    via_ring = C.c3_t_omega(C.projective_bundle_ring(1))
     via_blowup = c3_via_localization(ToricSpace("blowup-p3-point", BLOWUP_P3_POINT))
 
     ok = (
@@ -202,7 +203,7 @@ def test_criterion_8_stated_pbundle_exponent():
     would need chi_top = 4: that is the exponent of P^3 itself, not of this
     bundle.
     """
-    via_ring = C.c3_t_omega(C.projective_bundle_ring("p2", 1))
+    via_ring = C.c3_t_omega(C.projective_bundle_ring(1))
     via_blowup = c3_via_localization(ToricSpace("blowup-p3-point", BLOWUP_P3_POINT))
     assert via_ring == via_blowup  # the two independent ways agree
     # chi_top of a P^1 bundle over P^2, minus 24 chi(O)

@@ -54,37 +54,31 @@ def test_quadric_ring():
 
 
 def test_projective_bundle_ring_relation():
-    ring = C.projective_bundle_ring("p2", 1)
+    ring = C.projective_bundle_ring(1)
     xi = ring.gen("xi")
     h = ring.gen("h")
     # xi^2 reduces to -h xi in the calibrated sub convention
     assert ring.power(xi, 2) == ring.scale(ring.mul(h, xi), GROTHENDIECK_SIGN)
     assert ring.integrate(ring.mul(ring.power(h, 2), xi)) == 1
     assert ring.integrate(ring.power(xi, 3)) == 1
-    assert ring.integrate(C.projective_bundle_ring("p2", 2).power(
-        C.projective_bundle_ring("p2", 2).gen("xi"), 3)) == 4
+    assert ring.integrate(C.projective_bundle_ring(2).power(
+        C.projective_bundle_ring(2).gen("xi"), 3)) == 4
 
 
 def test_projective_bundle_sign_calibration():
     # chi of a P^1 bundle over P^2 must be 2 * chi(P^2) = 6; the wrong sign
     # in the quadratic relation gives 12 as soon as the twist is nonzero
-    assert C.euler_characteristic(C.projective_bundle_ring("p2", 1)) == 6
-    assert C.euler_characteristic(C.projective_bundle_ring("p2", 1, sign=1)) == 12
+    assert C.euler_characteristic(C.projective_bundle_ring(1)) == 6
+    assert C.euler_characteristic(C.projective_bundle_ring(1, sign=1)) == 12
     with pytest.raises(ValueError):
-        C.projective_bundle_ring("p2", 1, sign=2)
+        C.projective_bundle_ring(1, sign=2)
 
 
 def test_projective_bundle_exponent_is_twist_independent():
     for twist in (0, 1, 2, -1, 3):
-        ring = C.projective_bundle_ring("p2", twist)
+        ring = C.projective_bundle_ring(twist)
         assert C.euler_characteristic(ring) == 6
         assert C.c3_t_omega(ring) == -18
-
-
-def test_projective_bundle_refuses_other_bases():
-    for base, twist in (("p3", 1), ("p1xp1", (1, 0))):
-        with pytest.raises(ValueError, match=f"unsupported base '{base}'"):
-            C.projective_bundle_ring(base, twist)
 
 
 def test_blowup_ring_structure_constants():

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from quotdt import cli, toric
-from quotdt.charalg import EquivParams
 from quotdt.errors import NonzeroFixedPartError
 from quotdt.series import Series
+from quotdt.vertex import EquivParams
 
 
 def run(capsys, *argv):
@@ -311,7 +311,7 @@ def test_projective_bundle_ring_reads_a_negative_twist(capsys):
     assert report["values"]["mixed_chern_vector"] == ["6", "24", "56", "6", "16", "4", "1"]
     plus = run_json(capsys, "chern", "--space", "pbundle-p2-1", "--bundle", "O0.1")
     assert plus["values"]["mixed_chern_vector"] == ["6", "24", "56", "0", "4", "-2", "1"]
-    assert named_ring("pbundle-p2--1").name == projective_bundle_ring("p2", -1).name
+    assert named_ring("pbundle-p2--1").name == projective_bundle_ring(-1).name
 
 
 def test_malformed_projective_bundle_ring_names_the_grammar(capsys):
@@ -511,14 +511,17 @@ def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
 
 def test_cli_import_skips_unused_modules():
     # chern is imported only by the chern and cobordism commands, and the
-    # package resolves its re-exports on first access.  The value types are
+    # package resolves its re-exports on first access, so the import loads
+    # exactly the modules the other commands need.  The value types are
     # slotted records, so dataclasses and the inspect it pulls in stay out
     # unless the interpreter's own start-up loaded them.
     code = (
         "import sys; before = set(sys.modules); import quotdt.cli, quotdt; "
         "added = {'dataclasses', 'inspect'} & set(sys.modules) - before; "
         "assert not added, sorted(added); "
-        "assert 'quotdt.chern' not in sys.modules, 'chern'; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'quotdt'); "
+        "assert loaded == ['quotdt', 'quotdt.cli', 'quotdt.errors', 'quotdt.partitions', "
+        "'quotdt.record', 'quotdt.series', 'quotdt.toric', 'quotdt.vertex'], loaded; "
         "assert 'concurrent.futures' not in sys.modules, 'futures'; "
         "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__); "
         "assert quotdt.named_ring.__module__ == 'quotdt.chern'"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quotdt.charalg import EquivParams, LaurentPoly, weight_form
+from laurent import LaurentPoly
 
 
 def dense_mul(a: dict, b: dict) -> dict:
@@ -108,29 +108,3 @@ def test_constructor_validation():
 def test_terms_are_sorted_deterministically():
     p = LaurentPoly(2, {(2, 0): 1, (-1, 3): 2, (0, 0): 7})
     assert p.terms() == (((-1, 3), 2), ((0, 0), 7), ((2, 0), 1))
-
-
-def test_weight_form_is_linear():
-    rng = random.Random(808)
-    params = EquivParams(s=(3, -7, 11), v=(5, -2))
-    for _ in range(100):
-        e1 = tuple(rng.randint(-4, 4) for _ in range(5))
-        e2 = tuple(rng.randint(-4, 4) for _ in range(5))
-        both = tuple(x + y for x, y in zip(e1, e2))
-        assert weight_form(both, params) == weight_form(e1, params) + weight_form(e2, params)
-
-
-def test_weight_form_values():
-    params = EquivParams(s=(1, 3, 7), v=())
-    assert weight_form((1, 0, 0), params) == 1
-    assert weight_form((-1, -1, 0), params) == -4
-    assert weight_form((0, 0, 0), params) == 0
-    with pytest.raises(ValueError):
-        weight_form((1, 0), params)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        EquivParams(s=(1, 2))
-    with pytest.raises(TypeError):
-        EquivParams(s=(1, 2, 3.0))

@@ -5,10 +5,9 @@ import pickle
 
 import pytest
 
-from quotdt.charalg import EquivParams
 from quotdt.partitions import ColoredPlanePartition, PartitionPair, PlanePartition
 from quotdt.toric import SplitBundle, ToricSpace, builtin_space, split_bundle
-from quotdt.vertex import ChartWeights, vertex_character
+from quotdt.vertex import ChartWeights, EquivParams, vertex_character
 
 STD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

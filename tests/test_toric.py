@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import quotdt
 from quotdt import toric, vertex
-from quotdt.charalg import EquivParams
 from quotdt.errors import NonIntegralError, ParameterDependenceError, ZeroWeightError
 from quotdt.partitions import compositions, enum_colored
 from quotdt.series import Series, dt_closed_formula, macmahon, series_pow
@@ -28,7 +28,13 @@ from quotdt.toric import (
     split_bundle,
     trivial_bundle,
 )
-from quotdt.vertex import _formal_character, chart_contribution, vertex_character
+from quotdt.vertex import (
+    ChartWeights,
+    EquivParams,
+    _formal_character,
+    chart_contribution,
+    vertex_character,
+)
 
 # charts of the one-point blow-up of P^3, from its fan: the four simplex cones
 # minus the one at the blown-up point, plus three new cones along the
@@ -183,6 +189,21 @@ def test_non_unimodular_chart_rejected_at_construction():
         ToricSpace("x", (identity, ((1, 0, 0), (1, 0, 0), (0, 0, 1))))
     # an orientation-reversing chart is unimodular
     assert ToricSpace("x", (((0, 1, 0), (1, 0, 0), (0, 0, 1)),)).num_charts == 1
+
+
+@pytest.mark.parametrize("entry", [1.0, Fraction(1)])
+def test_non_integer_chart_entries_are_refused_where_they_enter(entry):
+    # p3's charts with one entry 1 replaced by an equal non-int; past the
+    # constructors it would fail only inside Fraction, with a TypeError
+    charts = [list(map(list, chart)) for chart in builtin_space("p3").charts]
+    assert charts[0][0] == [1, 0, 0]
+    charts[0][0][0] = entry
+    charts = tuple(tuple(map(tuple, chart)) for chart in charts)
+    message = re.escape(f"tangent character {(entry, 0, 0)} has entry {entry!r}; ")
+    with pytest.raises(ValueError, match=message):
+        ToricSpace("p3", charts)
+    with pytest.raises(ValueError, match=message):
+        ChartWeights(charts[0], ((0, 0, 0),))
 
 
 def test_split_bundle_validation():

@@ -5,7 +5,7 @@ are asserted termwise; everything else leans on invariants (symmetry, zero
 constant term, twist cancellation) plus the generic one-box Euler class.
 The exponent dicts of vertex_character's chart characters (chart_terms)
 are checked against the three-term formula evaluated with general
-LaurentPoly products, which shares no code with the engine, also when
+LaurentPoly products (tests/laurent.py), which share no code with the engine, also when
 calls alternate between partitions and charts and on random unimodular
 charts, and euler_inverse's scalar weights against the exponent-dict loop
 _reference_euler.  The partition-outer chart_sums is checked against
@@ -22,13 +22,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quotdt import cli, vertex
-from quotdt.charalg import EquivParams, LaurentPoly
 from quotdt.errors import NonzeroFixedPartError, ZeroWeightError
 from quotdt.partitions import ColoredPlanePartition, EMPTY_PLANE_PARTITION, PlanePartition, enum_colored
 from quotdt.toric import builtin_space, chart_of, split_bundle, trivial_bundle
 from quotdt.vertex import (
     MAX_BOX,
     ChartWeights,
+    EquivParams,
     _formal_character,
     _pack,
     _unpack,
@@ -40,6 +40,8 @@ from quotdt.vertex import (
     symmetry_defect,
     vertex_character,
 )
+
+from laurent import LaurentPoly
 
 STD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -252,10 +254,18 @@ def test_euler_inverse_zero_weight():
 
 def test_euler_inverse_rejects_parameter_rank_mismatch():
     char = vertex_character(one_box(), std_chart())
+    for params in (EquivParams(s=(1, 3, 7), v=(2, 5)), EquivParams(s=(1, 3, 7))):
+        with pytest.raises(ValueError, match="parameter rank does not match chart rank"):
+            euler_inverse(char, params)
+        with pytest.raises(ValueError, match="parameter rank does not match chart rank"):
+            chart_weights(std_chart(), params)
+
+
+def test_params_validation():
     with pytest.raises(ValueError):
-        euler_inverse(char, EquivParams(s=(1, 3, 7), v=(2, 5)))
-    with pytest.raises(ValueError):
-        euler_inverse(char, EquivParams(s=(1, 3, 7)))
+        EquivParams(s=(1, 2))
+    with pytest.raises(TypeError):
+        EquivParams(s=(1, 2, 3.0))
 
 
 def test_fixed_part_is_refused_before_any_chart(monkeypatch):
@@ -382,9 +392,9 @@ def test_chart_sums_names_chart_and_size_of_a_zero_weight():
 
 
 def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
-    # terms are summed as int pairs; euler_inverse is reached only for a
-    # zero product, and then once, to name the monomial.  This module's
-    # euler_inverse stays the real one and gives the reference rows.
+    # terms are summed as int pairs, and a zero product is named by the
+    # helper euler_inverse uses too, so chart_sums never calls it.  This
+    # module's euler_inverse stays the real one and gives the reference rows.
     calls = []
     monkeypatch.setattr(vertex, "euler_inverse", lambda *a: calls.append(a) or euler_inverse(*a))
     space = builtin_space("p3")
@@ -406,7 +416,7 @@ def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
     with pytest.raises(ZeroWeightError) as got:
         chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
     assert str(got.value) == "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes(monkeypatch):
@@ -414,7 +424,8 @@ def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes
     tables = []
     unpack, weights = vertex._unpack, vertex.chart_weights
     monkeypatch.setattr(vertex, "_unpack", lambda code: unpacked.append(code) or unpack(code))
-    monkeypatch.setattr(vertex, "chart_weights", lambda *a: tables.append(weights(*a)) or tables[-1])
+    monkeypatch.setattr(vertex, "chart_weights",
+                        lambda *a: tables.append((a[0], weights(*a))) or tables[-1][1])
     space = builtin_space("p2xp1")
     bundle = split_bundle(space, TWISTS["p2xp1"][1])
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
@@ -423,10 +434,10 @@ def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes
     chart_sums(charts, bundle.rank, nmax, params)
     codes = set(unpacked)
     assert len(unpacked) == len(codes)
-    assert [table.chart for table in tables] == charts
+    assert [chart for chart, _ in tables] == charts
     values = params.s + params.v
-    for table in tables:
-        chars = [vertex_character(cpp, table.chart)
+    for chart, table in tables:
+        chars = [vertex_character(cpp, chart)
                  for n in range(1, nmax + 1) for cpp in enum_colored(n, bundle.rank)]
         assert table.keys() == set().union(*(char.formal[0] for char in chars)) == codes
         for char in chars:
@@ -434,23 +445,24 @@ def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes
                 assert table[code] == sum(map(mul, exps, values))
 
 
-def test_euler_inverse_weighs_missing_codes_into_the_table_it_is_given():
+def test_euler_inverse_weighs_the_characters_codes_into_its_own_table(monkeypatch):
+    tables = []
+    weights = vertex.chart_weights
+    monkeypatch.setattr(vertex, "chart_weights", lambda *a: tables.append(weights(*a)) or tables[-1])
     space = builtin_space("p3")
     bundle = split_bundle(space, TWISTS["p3"][1])
     chart = chart_of(space, bundle, 1)
     params = EquivParams(s=(7, 19, 53), v=(101, 331))
-    table = chart_weights(chart, params)
-    seen = set()
     for cpp in enum_colored(3, 2):
         char = vertex_character(cpp, chart)
-        assert euler_inverse(char, params, table) == _reference_euler(_plain(char), params)
-        seen |= char.formal[0].keys()
-        assert table.keys() == seen
-    # on a fresh table a zero weight names the monomial the reference walk names
+        assert euler_inverse(char, params) == _reference_euler(_plain(char), params)
+        assert tables.pop().keys() == char.formal[0].keys()
+        assert not tables
+    # a zero weight names the monomial the reference walk names
     char = vertex_character(one_box(), std_chart())
     zero = EquivParams(s=(1, -1, 5), v=(3,))
     with pytest.raises(ZeroWeightError) as got:
-        euler_inverse(char, zero, chart_weights(std_chart(), zero))
+        euler_inverse(char, zero)
     with pytest.raises(ZeroWeightError) as reference:
         _reference_euler(_plain(char), zero)
     assert str(got.value) == str(reference.value) == "monomial (-1, -1, 0, 0) has weight zero"
@@ -605,16 +617,3 @@ def test_box_coordinates_up_to_the_bound(axis):
     assert chart_terms(char) == _tuple_character(cpp.parts[0].boxes)
     with pytest.raises(ValueError, match=f"box coordinate {MAX_BOX + 1} exceeds {MAX_BOX} = B/2 - 2"):
         _formal_character(_line(MAX_BOX + 2, axis))
-
-
-def test_euler_inverse_refuses_another_weight_table():
-    char = vertex_character(one_box(), std_chart())
-    params = EquivParams(s=(1, 3, 7), v=(11,))
-    assert euler_inverse(char, params, chart_weights(std_chart(), params)) == Fraction(320, 21)
-    other_chart = ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))
-    other_params = EquivParams(s=(1, 3, 8), v=(11,))
-    for weights in (chart_weights(other_chart, params), chart_weights(std_chart(), other_params)):
-        with pytest.raises(ValueError, match="another chart or parameter point"):
-            euler_inverse(char, params, weights)
-    with pytest.raises(ValueError, match="parameter rank does not match chart rank"):
-        chart_weights(std_chart(), EquivParams(s=(1, 3, 7), v=(11, 12)))
