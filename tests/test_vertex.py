@@ -261,6 +261,22 @@ def test_euler_inverse_rejects_parameter_rank_mismatch():
             chart_weights(std_chart(), params)
 
 
+def test_euler_inverse_refuses_another_weight_table():
+    # euler_inverse takes no table: it builds one from the character's own
+    # chart, so neither another chart's table nor another point's is accepted
+    char = vertex_character(one_box(), std_chart())
+    params = EquivParams(s=(1, 3, 7), v=(11,))
+    assert euler_inverse(char, params) == Fraction(320, 21)
+    other_chart = ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))
+    other_params = EquivParams(s=(1, 3, 8), v=(11,))
+    for weights in (chart_weights(other_chart, params), chart_weights(std_chart(), other_params)):
+        with pytest.raises(TypeError):
+            euler_inverse(char, params, weights)
+    for c, p in ((vertex_character(one_box(), other_chart), params), (char, other_params)):
+        assert euler_inverse(c, p) == _reference_euler(_plain(c), p)
+    assert euler_inverse(vertex_character(one_box(), other_chart), params) != Fraction(320, 21)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         EquivParams(s=(1, 2))
