@@ -34,6 +34,7 @@ _EXPORTS = {
         "quadric_threefold",
         "reconstruct",
         "ring_of_projective_product",
+        "split_bundle_class",
         "trivial_bundle_class",
     ),
     "errors": (

@@ -5,6 +5,9 @@ homogeneous rewrite rules (truncations g^k -> 0 plus optional quadratic
 relations) and an integration table on the degree three normal-form
 monomials.  Elements are sparse dicts from exponent tuples to Fractions;
 products are truncated above degree three, which is all a 3-fold can absorb.
+A ring multiplies the factors of c(T) once, on construction, and a
+BundleClass its (1 + root) factors; split_bundle_class builds one from
+integer twists, as toric.split_bundle does on the toric side.
 
 The cobordism side packages (ring, bundle) pairs: phi classes of partition
 pairs, mixed Chern number vectors, decomposition in the phi basis by an exact
@@ -13,13 +16,14 @@ linear solve, and the double point relation checker with its built-ins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
 from . import conventions
 from .errors import SingularBasisMatrixError
 from .partitions import PartitionPair, enum_partition_pairs
+from .record import Record
 
 Element = dict  # exponent tuple -> Fraction
 
@@ -27,13 +31,36 @@ DIM = 3
 _REDUCE_FUEL = 10 ** 6
 
 
-@dataclass(frozen=True, eq=False)
+def _integer(value, what: str) -> int:
+    """value if it is an int; otherwise a ValueError that names it."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _linear(coeffs, constant=0) -> Element:
+    """constant + sum_i coeffs[i] * g_i in the degree one generators g_i."""
+    out = {(0,) * len(coeffs): Fraction(constant)} if constant else {}
+    for i, c in enumerate(coeffs):
+        if c:
+            out[tuple(int(j == i) for j in range(len(coeffs)))] = Fraction(c)
+    return out
+
+
 class ChernRing:
-    name: str
-    gens: tuple[str, ...]
-    rules: tuple[tuple[tuple[int, ...], "Element"], ...]
-    integrals: Mapping[tuple[int, ...], Fraction]
-    tangent_total: Element = field(default_factory=dict)
+    """A 3-fold's intersection ring with its total tangent Chern class.
+
+    rules are (key, replacement) rewrites tried in order, integrals the
+    degree three functional on normal forms, and tangent the factors whose
+    product is c(T).
+    """
+
+    def __init__(self, name: str, gens, rules, integrals: Mapping, tangent):
+        self.name = name
+        self.gens = tuple(gens)
+        self.rules = tuple(rules)
+        self.integrals = integrals
+        self.tangent_total = self.product(tangent)
 
     # -- element constructors ------------------------------------------
 
@@ -45,20 +72,15 @@ class ChernRing:
 
     def gen(self, name: str) -> Element:
         idx = self.gens.index(name)
-        exps = tuple(1 if i == idx else 0 for i in range(len(self.gens)))
-        return {exps: Fraction(1)}
+        return _linear([int(i == idx) for i in range(len(self.gens))])
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
         out = dict(a)
         for exps, c in b.items():
-            new = out.get(exps, Fraction(0)) + c
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return out
+            out[exps] = out.get(exps, Fraction(0)) + c
+        return {exps: c for exps, c in out.items() if c}
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.scale(b, Fraction(-1)))
@@ -74,20 +96,18 @@ class ChernRing:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                if sum(key) > DIM:
-                    continue
-                new = acc.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        return self.reduce(acc)
+                if sum(key) <= DIM:
+                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+        return self.reduce(acc)  # which drops the zero coefficients
+
+    def product(self, factors) -> Element:
+        out = self.one()
+        for factor in factors:
+            out = self.mul(out, factor)
+        return out
 
     def power(self, a: Element, k: int) -> Element:
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
+        return self.product([a] * k)
 
     def reduce(self, a: Element) -> Element:
         """Rewrite to normal form under the ring's homogeneous rules."""
@@ -103,17 +123,13 @@ class ChernRing:
                 continue
             rule = self._find_rule(exps)
             if rule is None:
-                new = out.get(exps, Fraction(0)) + coeff
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
+                out[exps] = out.get(exps, Fraction(0)) + coeff
                 continue
             key, replacement = rule
             quotient = tuple(x - y for x, y in zip(exps, key))
             for rexps, rc in replacement.items():
                 stack.append((tuple(x + y for x, y in zip(quotient, rexps)), coeff * rc))
-        return out
+        return {exps: c for exps, c in out.items() if c}
 
     def _find_rule(self, exps):
         for key, replacement in self.rules:
@@ -146,23 +162,16 @@ class ChernRing:
 
 def ring_of_projective_product(lam) -> ChernRing:
     """Intersection ring of the product of projective spaces P^lam."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(_integer(x, "factor dimension") for x in lam)
     if sum(lam) != DIM or any(x < 1 for x in lam):
         raise ValueError("factor dimensions must be positive and sum to 3")
-    k = len(lam)
-    rules = []
-    for i, dim in enumerate(lam):
-        key = tuple(dim + 1 if j == i else 0 for j in range(k))
-        rules.append((key, {}))
-    integrals = {tuple(lam): Fraction(1)}
+    units = [[int(j == i) for j in range(len(lam))] for i in range(len(lam))]
+    rules = tuple((tuple(x * (dim + 1) for x in unit), {}) for unit, dim in zip(units, lam))
+    # c(T) = prod_i (1 + h_i)^(dim_i + 1)
+    tangent = [_linear(unit, 1) for unit, dim in zip(units, lam) for _ in range(dim + 1)]
     name = "x".join(f"p{d}" for d in lam)
-    ring = ChernRing(name, tuple(f"h{i + 1}" for i in range(k)), tuple(rules), integrals)
-    total = ring.one()
-    for i, dim in enumerate(lam):
-        h = ring.gen(f"h{i + 1}")
-        total = ring.mul(total, ring.power(ring.add(ring.one(), h), dim + 1))
-    object.__setattr__(ring, "tangent_total", total)
-    return ring
+    gens = tuple(f"h{i + 1}" for i in range(len(lam)))
+    return ChernRing(name, gens, rules, {lam: Fraction(1)}, tangent)
 
 
 def projective_bundle_ring(twist, sign: int = conventions.GROTHENDIECK_SIGN) -> ChernRing:
@@ -170,37 +179,22 @@ def projective_bundle_ring(twist, sign: int = conventions.GROTHENDIECK_SIGN) -> 
 
     xi is the degree one relative class; the quadratic relation is
     xi^2 = sign * c1(L) xi with the calibrated sign, and the fiber integral is
-    int(xi * beta) = int_base(beta).
+    int(xi * beta) = int_base(beta).  c(T) = (1 + h)^3 (1 + xi) (1 + xi + c1(L)).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    twist = int(twist)
-    gens = ("h", "xi")
-    ell = {(1, 0): Fraction(twist)} if twist else {}
-    rules = [((3, 0), {})]
-    rules.append(((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
-    integrals = {(2, 1): Fraction(1)}
-    ring = ChernRing(f"pbundle(p2,{twist})", gens, tuple(rules), integrals)
-    base_total = ring.power(ring.add(ring.one(), ring.gen("h")), 3)
-
-    xi = ring.gen("xi")
-    euler_factor = ring.mul(
-        ring.add(ring.one(), xi),
-        ring.add(ring.add(ring.one(), xi), ell),
-    )
-    object.__setattr__(ring, "tangent_total", ring.mul(base_total, euler_factor))
-    return ring
+    twist = _integer(twist, "twist")
+    rules = (((3, 0), {}), ((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
+    tangent = [_linear((1, 0), 1)] * 3 + [_linear((0, 1), 1), _linear((twist, 1), 1)]
+    return ChernRing(f"pbundle(p2,{twist})", ("h", "xi"), rules, {(2, 1): Fraction(1)}, tangent)
 
 
 def quadric_threefold() -> ChernRing:
     """The smooth quadric 3-fold: Z[H]/(H^4), int H^3 = 2, c(T) = (1+H)^5 / (1+2H)."""
-    ring = ChernRing("quadric", ("H",), (((4,), {}),), {(3,): Fraction(2)})
-    h = ring.gen("H")
-    numerator = ring.power(ring.add(ring.one(), h), 5)
     # (1 + 2H)^-1 truncated in degree <= 3.
-    inverse = {(0,): Fraction(1), (1,): Fraction(-2), (2,): Fraction(4), (3,): Fraction(-8)}
-    object.__setattr__(ring, "tangent_total", ring.mul(numerator, inverse))
-    return ring
+    inverse = {(d,): Fraction((-2) ** d) for d in range(DIM + 1)}
+    tangent = [_linear((1,), 1)] * 5 + [inverse]
+    return ChernRing("quadric", ("H",), (((4,), {}),), {(3,): Fraction(2)}, tangent)
 
 
 def blowup_p3_conic() -> ChernRing:
@@ -217,17 +211,8 @@ def blowup_p3_conic() -> ChernRing:
         ((0, 3), {(3, 0): Fraction(-6)}),
         ((4, 0), {}),
     )
-    ring = ChernRing("blowup-p3-conic", ("H", "E"), rules, {(3, 0): Fraction(1)})
-    tangent = {
-        (1, 0): Fraction(4),
-        (0, 1): Fraction(-1),
-        (2, 0): Fraction(8),
-        (1, 1): Fraction(-4),
-        (3, 0): Fraction(6),
-        (0, 0): Fraction(1),
-    }
-    object.__setattr__(ring, "tangent_total", tangent)
-    return ring
+    tangent = {(0, 0): 1, (1, 0): 4, (0, 1): -1, (2, 0): 8, (1, 1): -4, (3, 0): 6}
+    return ChernRing("blowup-p3-conic", ("H", "E"), rules, {(3, 0): Fraction(1)}, [tangent])
 
 
 _NAMED_RINGS = {
@@ -257,54 +242,63 @@ def named_ring(name: str) -> ChernRing:
 # -- bundles on a ring ---------------------------------------------------
 
 
-@dataclass(eq=False)
 class BundleClass:
-    """A split bundle on a ring, remembered through its Chern roots."""
+    """A split bundle on a ring: Chern roots padded with zeros to the rank, and their product."""
 
-    ring: ChernRing
-    rank: int
-    roots: tuple[Element, ...]
-
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, ring: ChernRing, rank: int, roots=()):
+        if _integer(rank, "rank") < 1:
             raise ValueError("rank must be at least 1")
-        if len(self.roots) > self.rank:
+        roots = tuple(roots)
+        if len(roots) > rank:
             raise ValueError("more Chern roots than the rank allows")
-        self.roots = tuple(self.roots) + ({},) * (self.rank - len(self.roots))
-
-    def total(self) -> Element:
-        out = self.ring.one()
-        for root in self.roots:
-            out = self.ring.mul(out, self.ring.add(self.ring.one(), root))
-        return out
+        self.ring = ring
+        self.rank = rank
+        self.roots = roots + ({},) * (rank - len(roots))
+        self.total = ring.product(ring.add(ring.one(), root) for root in self.roots)
 
     def chern(self, j: int) -> Element:
-        if j == 0:
-            return self.ring.one()
-        return self.ring.degree_part(self.total(), j)
+        return self.ring.degree_part(self.total, j)
 
 
 def trivial_bundle_class(ring: ChernRing, rank: int = 1) -> BundleClass:
-    return BundleClass(ring, rank, ())
+    return BundleClass(ring, rank)
+
+
+def split_bundle_class(ring: ChernRing, twists) -> BundleClass:
+    """Build a split bundle from one twist per summand, as toric.split_bundle does.
+
+    Each twist is an int (one-generator rings) or a tuple with one degree
+    per generator; the summand's Chern root is sum_i degree_i * g_i.
+    """
+    roots = []
+    for twist in twists:
+        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
+        if len(twist) != len(ring.gens):
+            raise ValueError(f"twist {twist} needs {len(ring.gens)} entries for {ring.name}")
+        roots.append(_linear([_integer(d, "twist degree") for d in twist]))
+    if not roots:
+        raise ValueError("at least one summand is required")
+    return BundleClass(ring, len(roots), roots)
 
 
 # -- Chern number functionals ---------------------------------------------
 
 
+def _integral_number(ring: ChernRing, element: Element, what: str) -> int:
+    value = ring.integrate(element)
+    if value.denominator != 1:
+        raise RuntimeError(f"{what} of {ring.name} is not an integer: {value}")
+    return value.numerator
+
+
 def c3_t_omega(ring: ChernRing) -> int:
     """int c3(T tensor omega) = int (c3(T) - c1(T) c2(T)), always an integer."""
     c1, c2, c3 = ring.tangent_classes()
-    value = ring.integrate(ring.sub(c3, ring.mul(c1, c2)))
-    if value.denominator != 1:
-        raise RuntimeError(f"c3_t_omega of {ring.name} is not an integer: {value}")
-    return value.numerator
+    return _integral_number(ring, ring.sub(c3, ring.mul(c1, c2)), "c3_t_omega")
 
 
 def euler_characteristic(ring: ChernRing) -> int:
-    value = ring.integrate(ring.tangent_classes()[2])
-    if value.denominator != 1:
-        raise RuntimeError(f"chi of {ring.name} is not an integer: {value}")
-    return value.numerator
+    return _integral_number(ring, ring.tangent_classes()[2], "chi")
 
 
 def mixed_monomials(rank: int) -> tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]:
@@ -315,36 +309,26 @@ def mixed_monomials(rank: int) -> tuple[tuple[tuple[int, int, int], tuple[int, i
     f-degree, then lexicographically in a, then in b, which puts the pure
     tangent monomials c3, c1c2, c1^3 first.
     """
-    fmax = min(rank, 3)
-    monos = []
-    for a1 in range(4):
-        for a2 in range(2):
-            for a3 in range(2):
-                for b1 in range(4):
-                    for b2 in range(2):
-                        for b3 in range(2):
-                            if b2 and fmax < 2 or b3 and fmax < 3:
-                                continue
-                            if a1 + 2 * a2 + 3 * a3 + b1 + 2 * b2 + 3 * b3 == DIM:
-                                monos.append(((a1, a2, a3), (b1, b2, b3)))
-    monos.sort(key=lambda ab: (ab[1][0] + 2 * ab[1][1] + 3 * ab[1][2], ab[0], ab[1]))
-    return tuple(monos)
+    def degree(e):
+        return e[0] + 2 * e[1] + 3 * e[2]
+
+    tangent = itertools.product(range(4), range(2), range(2))
+    # f_j exists only for j <= rank
+    bundle = itertools.product(range(4), range(1 + (rank > 1)), range(1 + (rank > 2)))
+    pairs = itertools.product(tangent, bundle)
+    monos = [(a, b) for a, b in pairs if degree(a) + degree(b) == DIM]
+    return tuple(sorted(monos, key=lambda ab: (degree(ab[1]), ab[0], ab[1])))
 
 
 def mixed_chern_vector(ring: ChernRing, bundle: BundleClass) -> tuple[Fraction, ...]:
     """Integrals of every degree three monomial in c(T) and c(F)."""
     if bundle.ring is not ring:
         raise ValueError("bundle does not live on this ring")
-    c = ring.tangent_classes()
-    f = tuple(bundle.chern(j) for j in (1, 2, 3))
-    values = []
-    for a, b in mixed_monomials(bundle.rank):
-        elt = ring.one()
-        for cls, exp in zip(c + f, a + b):
-            for _ in range(exp):
-                elt = ring.mul(elt, cls)
-        values.append(ring.integrate(elt))
-    return tuple(values)
+    classes = ring.tangent_classes() + tuple(bundle.chern(j) for j in (1, 2, 3))
+    return tuple(
+        ring.integrate(ring.product(cls for cls, exp in zip(classes, a + b) for _ in range(exp)))
+        for a, b in mixed_monomials(bundle.rank)
+    )
 
 
 # -- phi classes and decomposition ----------------------------------------
@@ -432,13 +416,13 @@ def reconstruct(coeffs: Mapping[PartitionPair, Fraction], rank: int) -> tuple[Fr
 # -- double point relation checker ----------------------------------------
 
 
-@dataclass(frozen=True)
-class DprReport:
-    names: tuple[str, str, str, str]
-    vectors: tuple[tuple[Fraction, ...], ...]
-    exponents: tuple[int, int, int, int]
-    vector_identity_ok: bool
-    exponent_identity_ok: bool
+class DprReport(Record):
+    """The four spaces' names, mixed Chern vectors and exponents, and both verdicts."""
+
+    __slots__ = ("names", "vectors", "exponents", "vector_identity_ok", "exponent_identity_ok")
+
+    def __init__(self, names, vectors, exponents, vector_identity_ok, exponent_identity_ok):
+        self._set(names, vectors, exponents, vector_identity_ok, exponent_identity_ok)
 
     @property
     def passed(self) -> bool:
@@ -468,6 +452,10 @@ def dpr_check(y_xi, a, b, p_pi) -> DprReport:
     )
 
 
+def _with_trivial_line_bundles(*rings) -> tuple:
+    return tuple((ring, trivial_bundle_class(ring)) for ring in rings)
+
+
 def quadric_dpr() -> tuple:
     """Degeneration of the quadric 3-fold to two hyperplanes, resolved.
 
@@ -476,25 +464,18 @@ def quadric_dpr() -> tuple:
     pinches, B = P^3, and D = P^2 with N_{D/A} = O(-1), so P(pi) is
     P(O + O(1)) over P^2.  Trivial line bundles throughout.
     """
-    spaces = (
-        quadric_threefold(),
-        blowup_p3_conic(),
-        ring_of_projective_product((3,)),
+    return _with_trivial_line_bundles(
+        quadric_threefold(), blowup_p3_conic(), ring_of_projective_product((3,)),
         projective_bundle_ring(1),
     )
-    return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 
 
 def normal_cone_dpr() -> tuple:
     """Deformation to the normal cone of a plane in P^3; passes identically."""
-    plane_bundle = projective_bundle_ring(1)
-    spaces = (
-        ring_of_projective_product((3,)),
-        ring_of_projective_product((3,)),
-        plane_bundle,
-        projective_bundle_ring(1),
+    return _with_trivial_line_bundles(
+        ring_of_projective_product((3,)), ring_of_projective_product((3,)),
+        projective_bundle_ring(1), projective_bundle_ring(1),
     )
-    return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 
 
 def naive_quadric_dpr() -> tuple:
@@ -504,13 +485,10 @@ def naive_quadric_dpr() -> tuple:
     degeneration; the checker must report failure on it.  Kept as a negative
     fixture for the checker itself.
     """
-    spaces = (
-        quadric_threefold(),
-        ring_of_projective_product((3,)),
-        ring_of_projective_product((3,)),
-        projective_bundle_ring(1),
+    return _with_trivial_line_bundles(
+        quadric_threefold(), ring_of_projective_product((3,)),
+        ring_of_projective_product((3,)), projective_bundle_ring(1),
     )
-    return tuple((ring, trivial_bundle_class(ring)) for ring in spaces)
 
 
 BUILTIN_DPRS = {

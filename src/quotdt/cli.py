@@ -294,9 +294,13 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
             bundle = split_bundle(space, parse_twists(args.bundle, space.num_factors))
     else:
         bundle = trivial_bundle(space, 1 if args.rank is None else args.rank)
+    _check_rank(args, bundle)
+    return space, bundle
+
+
+def _check_rank(args, bundle) -> None:
     if args.rank is not None and bundle.rank != args.rank:
         raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
-    return space, bundle
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -333,22 +337,17 @@ def resolve_ring(name: str):
 
 
 def resolve_ring_bundle(args):
+    """The ring and bundle that chern and cobordism work on, and the inputs echo."""
     from . import chern as chern_mod
 
     ring = resolve_ring(args.space)
-    if not args.bundle:
-        return ring, chern_mod.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
-    roots = []
-    for twist in parse_twists(args.bundle, len(ring.gens)):
-        root = ring.zero()
-        for gen_name, degree in zip(ring.gens, twist):
-            if degree:
-                root = ring.add(root, ring.scale(ring.gen(gen_name), degree))
-        roots.append(root)
-    bundle = chern_mod.BundleClass(ring, len(roots), tuple(roots))
-    if args.rank is not None and bundle.rank != args.rank:
-        raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
-    return ring, bundle
+    if args.bundle:
+        bundle = chern_mod.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
+    else:
+        bundle = chern_mod.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
+    _check_rank(args, bundle)
+    described = args.bundle or f"trivial rank {bundle.rank}"
+    return ring, bundle, {"space": args.space, "bundle": described, "rank": bundle.rank}
 
 
 # -- report rendering -------------------------------------------------------
@@ -499,7 +498,7 @@ def _monomial_label(a, b) -> str:
 def cmd_chern(args) -> tuple[dict, int]:
     from . import chern as chern_mod
 
-    ring, bundle = resolve_ring_bundle(args)
+    ring, bundle, inputs = resolve_ring_bundle(args)
     vector = chern_mod.mixed_chern_vector(ring, bundle)
     labels = [_monomial_label(a, b) for a, b in chern_mod.mixed_monomials(bundle.rank)]
     values = {
@@ -515,11 +514,6 @@ def cmd_chern(args) -> tuple[dict, int]:
         values["c3_via_localization"] = localized
         ok = localized == values["c3_t_omega"]
         verdicts["localization_agrees"] = _verdict(ok)
-    inputs = {
-        "space": args.space,
-        "bundle": args.bundle or f"trivial rank {bundle.rank}",
-        "rank": bundle.rank,
-    }
     report = _base_report("chern", inputs, args.seed, values, verdicts)
     return report, EXIT_OK if ok else EXIT_INVARIANT
 
@@ -552,17 +546,12 @@ def cmd_cobordism(args) -> tuple[dict, int]:
         report = _base_report("cobordism", inputs, args.seed, values, verdicts)
         return report, EXIT_OK if result.passed else EXIT_INVARIANT
 
-    ring, bundle = resolve_ring_bundle(args)
+    ring, bundle, inputs = resolve_ring_bundle(args)
     rank = bundle.rank
     coeffs = chern_mod.decompose(ring, bundle, rank)
     vector = chern_mod.mixed_chern_vector(ring, bundle)
     rebuilt = chern_mod.reconstruct(coeffs, rank)
     ok = rebuilt == vector
-    inputs = {
-        "space": args.space,
-        "bundle": args.bundle or f"trivial rank {rank}",
-        "rank": rank,
-    }
     values = {
         "basis_size": len(coeffs),
         "pairs": [{"lam": list(p.lam), "mu": list(p.mu)} for p in coeffs],

@@ -86,11 +86,18 @@ class SplitBundle(Record):
     __slots__ = ("rank", "per_chart")
 
     def __init__(self, rank: int, per_chart: tuple[tuple[Vec3, ...], ...]):
+        if not isinstance(rank, int):
+            raise ValueError(f"rank {rank!r} is not an integer")
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        for colors in per_chart:
+        for index, colors in enumerate(per_chart):
             if len(colors) != rank:
                 raise ValueError("each chart needs one character per summand")
+            for j, m in enumerate(colors):
+                if len(m) != 3 or not all(isinstance(x, int) for x in m):
+                    raise ValueError(
+                        f"chart {index}, summand {j} has character {m}; characters must lie in Z^3"
+                    )
         self._set(rank, per_chart)
 
 
@@ -144,11 +151,11 @@ def split_bundle(space: ToricSpace, twists) -> SplitBundle:
     factors = space.num_factors
     normalized = []
     for twist in twists:
-        if isinstance(twist, int):
-            twist = (twist,)
-        twist = tuple(twist)
+        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
         if len(twist) != factors:
             raise ValueError(f"twist {twist} needs {factors} entries for {space.name}")
+        if not all(isinstance(d, int) for d in twist):
+            raise ValueError(f"twist {twist} has a degree that is not an integer")
         normalized.append(twist)
     if not normalized:
         raise ValueError("at least one summand is required")

@@ -423,6 +423,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
+    charts = list(charts)  # read three times below, so a one-shot iterable is taken once
     if any(chart.rank != rank for chart in charts):
         raise ValueError("rank does not match chart data")
     tables = [chart_weights(chart, params) for chart in charts]

@@ -5,8 +5,13 @@ Riemann-Roch on 3-folds) and cross-checked against the localization engine
 where a toric model exists.
 """
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from quotdt import chern as C
 from quotdt.conventions import GROTHENDIECK_SIGN
 from quotdt.errors import SingularBasisMatrixError
 from quotdt.partitions import PartitionPair, enum_partition_pairs
+from quotdt.record import Record
 
 
 # -- ring presentations -----------------------------------------------------
@@ -114,6 +120,33 @@ def test_named_rings_and_exponents():
 # -- mixed Chern vectors -----------------------------------------------------
 
 
+def test_rings_are_complete_on_construction():
+    # the ring multiplies the given factors of c(T) once, in __init__
+    one_plus_h = {(0,): 1, (1,): 1}
+    ring = C.ChernRing("p3 by hand", ("h",), (((4,), {}),), {(3,): Fraction(1)}, [one_plus_h] * 4)
+    assert ring.tangent_total == C.ring_of_projective_product((3,)).tangent_total
+    assert ring.tangent_total == {(d,): Fraction(c) for d, c in enumerate((1, 4, 6, 4))}
+    assert (C.c3_t_omega(ring), C.euler_characteristic(ring)) == (-20, 4)
+    bare = C.ChernRing("point-like", ("h",), (((4,), {}),), {(3,): Fraction(1)}, [])
+    assert bare.tangent_total == bare.one()
+
+
+def test_builders_refuse_non_integers():
+    # a non-integer degree, dimension or rank is named, never truncated
+    ring = C.ring_of_projective_product((2, 1))
+    cases = [
+        (lambda: C.projective_bundle_ring(1.5), "twist 1.5 is not an integer"),
+        (lambda: C.ring_of_projective_product((2.5, 1)), "factor dimension 2.5 is not an integer"),
+        (lambda: C.split_bundle_class(ring, [(1, 0.5)]), "twist degree 0.5 is not an integer"),
+        (lambda: C.split_bundle_class(C.named_ring("p3"), [1.5]), "twist degree 1.5 is not an integer"),
+        (lambda: C.BundleClass(ring, 2.0, ()), "rank 2.0 is not an integer"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == message
+
+
 def test_mixed_monomial_order():
     assert C.mixed_monomials(1) == (
         ((0, 0, 1), (0, 0, 0)),
@@ -190,6 +223,31 @@ def test_bundle_class_basics():
         C.BundleClass(ring, 0, ())
     with pytest.raises(ValueError):
         C.BundleClass(ring, 1, (h, h))
+
+
+def test_bundle_class_total_is_the_product_of_its_factors():
+    ring = C.ring_of_projective_product((2, 1))
+    h1, h2 = ring.gen("h1"), ring.gen("h2")
+    bundle = C.BundleClass(ring, 2, (h1, ring.sub(h2, h1)))
+    # c(F) = (1 + h1)(1 + h2 - h1) = 1 + h2 + h1 h2 - h1^2
+    want = {(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 0): -1}
+    assert bundle.total == {e: Fraction(c) for e, c in want.items()}
+    assert bundle.chern(3) == {} and bundle.chern(0) == ring.one()
+
+
+def test_split_bundle_class_builds_linear_roots():
+    ring = C.ring_of_projective_product((2, 1))
+    h1, h2 = ring.gen("h1"), ring.gen("h2")
+    bundle = C.split_bundle_class(ring, [(1, -1), [0, 2], (0, 0)])
+    assert bundle.rank == 3
+    assert bundle.roots == (ring.sub(h1, h2), ring.scale(h2, 2), {})
+    p3 = C.ring_of_projective_product((3,))
+    o2 = (p3.scale(p3.gen("h1"), 2),)
+    assert C.split_bundle_class(p3, [2]).roots == C.split_bundle_class(p3, [(2,)]).roots == o2
+    with pytest.raises(ValueError, match=r"^twist \(1,\) needs 2 entries for p2xp1$"):
+        C.split_bundle_class(ring, [1])
+    with pytest.raises(ValueError, match="at least one summand is required"):
+        C.split_bundle_class(ring, [])
 
 
 # -- decomposition in the phi basis ------------------------------------------
@@ -302,6 +360,32 @@ def test_naive_quadric_dpr_fails():
     assert not report.vector_identity_ok
     assert not report.exponent_identity_ok
     assert not report.passed
+
+
+def test_dpr_report_is_a_record():
+    report = C.dpr_check(*C.quadric_dpr())
+    twin = C.dpr_check(*C.quadric_dpr())
+    assert isinstance(report, Record)
+    assert report == twin and hash(report) == hash(twin)
+    assert report != C.dpr_check(*C.naive_quadric_dpr())
+    assert pickle.loads(pickle.dumps(report)) == report
+    with pytest.raises(AttributeError):
+        report.exponent_identity_ok = False
+
+
+def test_chern_import_skips_dataclasses():
+    # the chern module's types are plain classes and records
+    code = (
+        "import sys; before = set(sys.modules); import quotdt.chern; "
+        "added = {'dataclasses', 'inspect'} & set(sys.modules) - before; "
+        "assert not added, sorted(added)"
+    )
+    src = str(Path(C.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dpr_check_rank_consistency():

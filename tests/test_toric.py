@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quotdt
-from quotdt import toric, vertex
+from quotdt import conventions, toric, vertex
 from quotdt.errors import NonIntegralError, ParameterDependenceError, ZeroWeightError
 from quotdt.partitions import compositions, enum_colored
 from quotdt.series import Series, dt_closed_formula, macmahon, series_pow
@@ -179,6 +179,29 @@ def test_custom_space_has_no_polytope_data():
         space.num_factors
     with pytest.raises(ValueError):
         split_bundle(space, [1])
+
+
+def test_split_bundles_refuse_non_integer_characters():
+    p3 = builtin_space("p3")
+    for twists in ([(1.0,)], [1.5], [0, Fraction(1)]):
+        with pytest.raises(ValueError, match=r"^twist \(.*\) has a degree that is not an integer"):
+            split_bundle(p3, twists)
+    with pytest.raises(ValueError, match=r"^chart 1, summand 0 has character \(1\.0, 0, 0\)"):
+        SplitBundle(1, (((0, 0, 0),), ((1.0, 0, 0),)))
+    with pytest.raises(ValueError, match=r"^chart 0, summand 1 has character \(0, 0\)"):
+        SplitBundle(2, (((0, 0, 0), (0, 0)),))
+    with pytest.raises(ValueError, match=r"^rank 2\.0 is not an integer$"):
+        SplitBundle(2.0, (((0, 0, 0), (0, 0, 0)),))
+    # lists and tuples of int degrees, and bare ints on one factor, are accepted
+    assert split_bundle(p3, [[1], (1,)]) == split_bundle(p3, [1, 1])
+
+
+def test_calibration_fixes_the_global_sign():
+    # conventions.CALIBRATION pins the one sign the formulas leave open
+    space, rank, n, value = conventions.CALIBRATION
+    toric_space = builtin_space(space)
+    series = dt_series(toric_space, trivial_bundle(toric_space, rank), n)
+    assert series.integer_coeffs()[n] == value == 20
 
 
 def test_non_unimodular_chart_rejected_at_construction():

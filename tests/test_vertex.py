@@ -400,6 +400,16 @@ def test_chart_sums_match_chart_by_chart_sums(name):
         assert chart_sums(charts, bundle.rank, 0, params) == []
 
 
+def test_chart_sums_take_a_one_shot_iterable_of_charts():
+    space = builtin_space("p3")
+    charts = [chart_of(space, trivial_bundle(space), ci) for ci in range(space.num_charts)]
+    params = EquivParams(s=(7, 19, 53), v=(101,))
+    want = chart_sums(charts, 1, 2, params)
+    assert [len(row) for row in want] == [4, 4]
+    assert chart_sums(iter(charts), 1, 2, params) == want
+    assert chart_sums((chart for chart in charts), 1, 2, params) == want
+
+
 def test_chart_sums_names_chart_and_size_of_a_zero_weight():
     charts = [std_chart(), ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))]
     # s1 + s2 = 0 kills the monomial t1^-1 t2^-1 of the first chart only
