@@ -6,8 +6,10 @@ character, and the weighted count is an integer matching the closed formula
 M((-1)^r q)^(r * c3(T tensor K)).  Everything is exact: big integers
 and Fractions; no floats anywhere.
 
-The names below are imported from their modules on first access (PEP 562),
-so `import quotdt.cli` loads only the modules a command uses.
+The names below are imported from their modules on first access (PEP 562).
+The CLI holds the engine modules through importlib's LazyLoader: `import
+quotdt.cli` runs only cli, errors and series, and registers the others so
+that each runs when a command first reads from it.
 """
 
 from importlib import import_module

@@ -215,16 +215,12 @@ def blowup_p3_conic() -> ChernRing:
     return ChernRing("blowup-p3-conic", ("H", "E"), rules, {(3, 0): Fraction(1)}, [tangent])
 
 
-_NAMED_RINGS = {
-    "p3": lambda: ring_of_projective_product((3,)),
-    "p2xp1": lambda: ring_of_projective_product((2, 1)),
-    "p1cubed": lambda: ring_of_projective_product((1, 1, 1)),
-    "quadric": quadric_threefold,
-    "blowup-p3-conic": blowup_p3_conic,
-}
+_NAMED_RINGS = {"quadric": quadric_threefold, "blowup-p3-conic": blowup_p3_conic}
 
 
 def named_ring(name: str) -> ChernRing:
+    if name in conventions.BUILTIN_SPACES:
+        return ring_of_projective_product(conventions.BUILTIN_SPACES[name])
     if name in _NAMED_RINGS:
         return _NAMED_RINGS[name]()
     prefix = "pbundle-p2-"

@@ -5,6 +5,13 @@ Five subcommands: `toric` (DT series with closed-formula verdict), `vertex`
 numbers), `cobordism` (phi-basis decomposition and double point relation
 checks) and `macmahon` (series expansions).
 
+A command runs only the modules it reads.  _lazy registers conventions,
+partitions, vertex, toric and chern at import, and runs each one's code on
+its first attribute access: `macmahon` runs cli, errors and series; `toric`
+and `vertex` add toric, vertex, partitions, record and conventions; `chern`
+and `cobordism` add chern, partitions, record and conventions, and `chern`
+on a built-in toric space adds toric and vertex for its localization check.
+
 Reports are emitted as JSON (default) or a flat key=value table.  Identical
 configuration and seed give byte-identical output; the optional --timing flag
 adds a wall-clock field and therefore breaks byte determinism, so it is off
@@ -15,6 +22,7 @@ failure, 3 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import random
@@ -23,22 +31,33 @@ import time
 from fractions import Fraction
 
 from .errors import QuotDTError
-from .partitions import enum_colored
 from .series import dt_closed_formula, macmahon, series_pow
-from .toric import (
-    BUILTIN_SPACES,
-    SplitBundle,
-    ToricSpace,
-    builtin_space,
-    c3_via_localization,
-    chart_of,
-    count_fixed_points,
-    draw_admissible,
-    dt_series,
-    split_bundle,
-    trivial_bundle,
-)
-from .vertex import chart_sums, chart_terms, symmetry_defect, vertex_character
+
+
+def _lazy(name: str):
+    """The sibling module quotdt.<name>, whose code runs on its first attribute access.
+
+    The module is registered in sys.modules and on the package at once, so
+    an import of quotdt.<name> anywhere yields this one object; a module that
+    is already in sys.modules is returned unchanged.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+conventions = _lazy("conventions")
+partitions = _lazy("partitions")
+vertex = _lazy("vertex")
+toric = _lazy("toric")
+chern = _lazy("chern")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,38 +126,38 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="quotdt", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    toric = commands.add_parser("toric", help="DT series against the closed formula")
-    _add_space_bundle(toric)
-    toric.add_argument("--nmax", type=int, help="highest box count")
-    toric.add_argument(
+    cmd = commands.add_parser("toric", help="DT series against the closed formula")
+    _add_space_bundle(cmd)
+    cmd.add_argument("--nmax", type=int, help="highest box count")
+    cmd.add_argument(
         "--threads", type=int, help="accepted and echoed (>= 1); QUOTDT_THREADS as fallback"
     )
-    _add_common(toric)
+    _add_common(cmd)
 
-    vertex = commands.add_parser("vertex", help="virtual character tables per chart")
-    _add_space_bundle(vertex)
-    vertex.add_argument("--nmax", type=int, help="tabulate partitions up to this size")
-    vertex.add_argument("--chart-index", type=int, help="restrict to one chart")
-    _add_common(vertex)
+    cmd = commands.add_parser("vertex", help="virtual character tables per chart")
+    _add_space_bundle(cmd)
+    cmd.add_argument("--nmax", type=int, help="tabulate partitions up to this size")
+    cmd.add_argument("--chart-index", type=int, help="restrict to one chart")
+    _add_common(cmd)
 
-    chern = commands.add_parser("chern", help="Chern numbers of a 3-fold ring")
-    chern.add_argument("--space", help="ring name, e.g. p2xp1, quadric, pbundle-p2-1, prod:2.1")
-    chern.add_argument("--bundle", help="split bundle in the divisor generators, e.g. O2 or O1.0")
-    chern.add_argument("--rank", type=int, help="rank of the trivial bundle when --bundle is absent")
-    _add_common(chern)
+    cmd = commands.add_parser("chern", help="Chern numbers of a 3-fold ring")
+    cmd.add_argument("--space", help="ring name, e.g. p2xp1, quadric, pbundle-p2-1, prod:2.1")
+    cmd.add_argument("--bundle", help="split bundle in the divisor generators, e.g. O2 or O1.0")
+    cmd.add_argument("--rank", type=int, help="rank of the trivial bundle when --bundle is absent")
+    _add_common(cmd)
 
-    cobordism = commands.add_parser("cobordism", help="phi basis and double point relations")
-    cobordism.add_argument("--builtin", help="quadric-dpr | normal-cone-dpr | naive-quadric-dpr")
-    cobordism.add_argument("--space", help="ring to decompose in the phi basis")
-    cobordism.add_argument("--bundle", help="bundle on that ring, same grammar as chern")
-    cobordism.add_argument("--rank", type=int, help="rank of the decomposition basis")
-    _add_common(cobordism)
+    cmd = commands.add_parser("cobordism", help="phi basis and double point relations")
+    cmd.add_argument("--builtin", help="quadric-dpr | normal-cone-dpr | naive-quadric-dpr")
+    cmd.add_argument("--space", help="ring to decompose in the phi basis")
+    cmd.add_argument("--bundle", help="bundle on that ring, same grammar as chern")
+    cmd.add_argument("--rank", type=int, help="rank of the decomposition basis")
+    _add_common(cmd)
 
-    mac = commands.add_parser("macmahon", help="MacMahon series coefficients")
-    mac.add_argument("--nmax", type=int, help="series order")
-    mac.add_argument("--power", type=int, help="integer exponent, default 1")
-    mac.add_argument("--negate-q", action="store_true", help="substitute q -> -q")
-    _add_common(mac)
+    cmd = commands.add_parser("macmahon", help="MacMahon series coefficients")
+    cmd.add_argument("--nmax", type=int, help="series order")
+    cmd.add_argument("--power", type=int, help="integer exponent, default 1")
+    cmd.add_argument("--negate-q", action="store_true", help="substitute q -> -q")
+    _add_common(cmd)
     parser.commands = commands.choices  # subcommand name -> its _Parser
     return parser
 
@@ -260,15 +279,15 @@ def parse_twists(descriptor: str, factors: int):
     return tuple(summands)
 
 
-def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
+def resolve_space_bundle(args) -> tuple[toric.ToricSpace, toric.SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
-        space = ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
+        space = toric.ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
     elif args.space == "custom":
         raise UsageError("--space custom needs --chart data, one --chart per fixed point")
     elif args.space:
-        space = builtin_space(args.space)
+        space = toric.builtin_space(args.space)
     else:
         raise UsageError("a space is required: --space or --chart")
 
@@ -283,17 +302,17 @@ def resolve_space_bundle(args) -> tuple[ToricSpace, SplitBundle]:
         ranks = {len(colors) for colors in per_chart}
         if len(ranks) != 1:
             raise UsageError("every chart needs the same number of summands")
-        bundle = SplitBundle(ranks.pop(), per_chart)
+        bundle = toric.SplitBundle(ranks.pop(), per_chart)
     elif args.bundle:
         if space.twist_vertices is None:
             tokens = [t.strip() for t in args.bundle.split(",")]
             if any(t != "O" for t in tokens):
                 raise UsageError("custom spaces take twisted bundles via --bundle-chart")
-            bundle = trivial_bundle(space, len(tokens))
+            bundle = toric.trivial_bundle(space, len(tokens))
         else:
-            bundle = split_bundle(space, parse_twists(args.bundle, space.num_factors))
+            bundle = toric.split_bundle(space, parse_twists(args.bundle, space.num_factors))
     else:
-        bundle = trivial_bundle(space, 1 if args.rank is None else args.rank)
+        bundle = toric.trivial_bundle(space, 1 if args.rank is None else args.rank)
     _check_rank(args, bundle)
     return space, bundle
 
@@ -321,8 +340,6 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def resolve_ring(name: str):
-    from . import chern as chern_mod
-
     if name is None:
         raise UsageError("a ring is required: --space")
     if name.startswith("prod:"):
@@ -332,19 +349,17 @@ def resolve_ring(name: str):
             raise UsageError(
                 f"--space {name!r}: a product ring is prod:d1.d2... with integer dimensions"
             ) from None
-        return chern_mod.ring_of_projective_product(lam)
-    return chern_mod.named_ring(name)
+        return chern.ring_of_projective_product(lam)
+    return chern.named_ring(name)
 
 
 def resolve_ring_bundle(args):
     """The ring and bundle that chern and cobordism work on, and the inputs echo."""
-    from . import chern as chern_mod
-
     ring = resolve_ring(args.space)
     if args.bundle:
-        bundle = chern_mod.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
+        bundle = chern.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
     else:
-        bundle = chern_mod.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
+        bundle = chern.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
     _check_rank(args, bundle)
     described = args.bundle or f"trivial rank {bundle.rank}"
     return ring, bundle, {"space": args.space, "bundle": described, "rank": bundle.rank}
@@ -396,11 +411,11 @@ def cmd_toric(args) -> tuple[dict, int]:
         raise UsageError("toric needs --nmax")
     space, bundle = resolve_space_bundle(args)
     threads = resolve_threads(args.threads)
-    series = dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials)
+    series = toric.dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials)
     coeffs = list(series.integer_coeffs())
-    c3 = c3_via_localization(space, seed=args.seed, trials=args.trials)
+    c3 = toric.c3_via_localization(space, seed=args.seed, trials=args.trials)
     closed = list(dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs())
-    counts = count_fixed_points(space, bundle.rank, args.nmax)
+    counts = toric.count_fixed_points(space, bundle.rank, args.nmax)
     per_coeff = ["MATCH" if a == b else "MISMATCH" for a, b in zip(coeffs, closed)]
     matched = all(v == "MATCH" for v in per_coeff)
     inputs = {
@@ -437,11 +452,11 @@ def cmd_vertex(args) -> tuple[dict, int]:
     indices = (
         range(space.num_charts) if args.chart_index is None else (args.chart_index,)
     )
-    charts = [chart_of(space, bundle, ci) for ci in indices]
+    charts = [toric.chart_of(space, bundle, ci) for ci in indices]
 
-    params, sums = draw_admissible(
+    params, sums = toric.draw_admissible(
         bundle.rank, random.Random(args.seed),
-        lambda params: chart_sums(charts, bundle.rank, nmax, params),
+        lambda params: vertex.chart_sums(charts, bundle.rank, nmax, params),
     )
 
     symmetric = True
@@ -450,14 +465,16 @@ def cmd_vertex(args) -> tuple[dict, int]:
     for position, (ci, chart) in enumerate(zip(indices, charts)):
         rows = []
         for n in range(nmax + 1):
-            for cpp in enum_colored(n, bundle.rank):
-                char = vertex_character(cpp, chart)
-                if symmetry_defect(char):
+            for cpp in partitions.enum_colored(n, bundle.rank):
+                char = vertex.vertex_character(cpp, chart)
+                if vertex.symmetry_defect(char):
                     symmetric = False
                 rows.append(
                     {
                         "partition": [list(map(list, part)) for part in cpp.parts],
-                        "character": [[list(e), c] for e, c in sorted(chart_terms(char).items())],
+                        "character": [
+                            [list(e), c] for e, c in sorted(vertex.chart_terms(char).items())
+                        ],
                     }
                 )
         tables[str(ci)] = rows
@@ -496,21 +513,20 @@ def _monomial_label(a, b) -> str:
 
 
 def cmd_chern(args) -> tuple[dict, int]:
-    from . import chern as chern_mod
-
     ring, bundle, inputs = resolve_ring_bundle(args)
-    vector = chern_mod.mixed_chern_vector(ring, bundle)
-    labels = [_monomial_label(a, b) for a, b in chern_mod.mixed_monomials(bundle.rank)]
+    vector = chern.mixed_chern_vector(ring, bundle)
+    labels = [_monomial_label(a, b) for a, b in chern.mixed_monomials(bundle.rank)]
     values = {
-        "c3_t_omega": chern_mod.c3_t_omega(ring),
-        "euler_characteristic": chern_mod.euler_characteristic(ring),
+        "c3_t_omega": chern.c3_t_omega(ring),
+        "euler_characteristic": chern.euler_characteristic(ring),
         "monomials": labels,
         "mixed_chern_vector": list(vector),
     }
     verdicts = {}
     ok = True
-    if args.space in BUILTIN_SPACES:
-        localized = c3_via_localization(builtin_space(args.space), seed=args.seed, trials=args.trials)
+    if args.space in conventions.BUILTIN_SPACES:
+        space = toric.builtin_space(args.space)
+        localized = toric.c3_via_localization(space, seed=args.seed, trials=args.trials)
         values["c3_via_localization"] = localized
         ok = localized == values["c3_t_omega"]
         verdicts["localization_agrees"] = _verdict(ok)
@@ -519,20 +535,18 @@ def cmd_chern(args) -> tuple[dict, int]:
 
 
 def cmd_cobordism(args) -> tuple[dict, int]:
-    from . import chern as chern_mod
-
     if args.builtin and args.space:
         raise UsageError("give either --builtin or --space, not both")
     if args.builtin and (args.bundle is not None or args.rank is not None):
         raise UsageError("--builtin takes no --bundle or --rank")
     if args.builtin:
         try:
-            quadruple = chern_mod.BUILTIN_DPRS[args.builtin]()
+            quadruple = chern.BUILTIN_DPRS[args.builtin]()
         except KeyError:
             raise UsageError(
-                f"unknown built-in {args.builtin!r}; choose from {sorted(chern_mod.BUILTIN_DPRS)}"
+                f"unknown built-in {args.builtin!r}; choose from {sorted(chern.BUILTIN_DPRS)}"
             ) from None
-        result = chern_mod.dpr_check(*quadruple)
+        result = chern.dpr_check(*quadruple)
         inputs = {"builtin": args.builtin, "spaces": list(result.names)}
         values = {
             "exponents": list(result.exponents),
@@ -548,9 +562,9 @@ def cmd_cobordism(args) -> tuple[dict, int]:
 
     ring, bundle, inputs = resolve_ring_bundle(args)
     rank = bundle.rank
-    coeffs = chern_mod.decompose(ring, bundle, rank)
-    vector = chern_mod.mixed_chern_vector(ring, bundle)
-    rebuilt = chern_mod.reconstruct(coeffs, rank)
+    coeffs = chern.decompose(ring, bundle, rank)
+    vector = chern.mixed_chern_vector(ring, bundle)
+    rebuilt = chern.reconstruct(coeffs, rank)
     ok = rebuilt == vector
     values = {
         "basis_size": len(coeffs),

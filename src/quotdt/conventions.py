@@ -33,10 +33,18 @@ Projective bundle rings
     gives c(T) = c(T_base) * (1 + xi) * (1 + xi + c1(L)).  The sign is pinned
     by the calibration integral c3(T) = 2 * chi(base), which the other choice
     violates as soon as L is nontrivial.
+
+Built-in spaces
+    A name in BUILTIN_SPACES denotes one product of projective spaces on both
+    sides: the toric space of toric.builtin_space and the Chern ring of
+    chern.named_ring.  The chern command compares the two through c3.
 """
 
 # Calibration target: space, bundle rank, number of points, invariant value.
 CALIBRATION = ("p3", 1, 1, 20)
+
+# The built-in spaces by name, each with the dimensions of its projective factors.
+BUILTIN_SPACES = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}
 
 # Sign in the quadratic relation xi^2 = sign * c1(L) * xi of a P(O + L) ring.
 GROTHENDIECK_SIGN = -1

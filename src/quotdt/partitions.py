@@ -161,11 +161,21 @@ def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (head, *tail)
 
 
-@lru_cache(maxsize=None)
+def check_rank(rank) -> None:
+    """ValueError unless rank is an int of at least 1; a non-int is named."""
+    if not isinstance(rank, int):
+        raise ValueError(f"rank {rank!r} is not an integer")
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
+
+
+# typed: a float size or rank equal to a cached int one must miss, and be refused.
+@lru_cache(maxsize=None, typed=True)
 def enum_colored(n: int, r: int) -> tuple[ColoredPlanePartition, ...]:
     """All r-tuples of plane partitions with total size n."""
-    if r < 1:
-        raise ValueError("rank must be at least 1")
+    if not isinstance(n, int):
+        raise ValueError(f"size {n!r} is not an integer")
+    check_rank(r)
     results = []
     for sizes in compositions(n, r):
         pools = [enum_plane_partitions(m) for m in sizes]

@@ -25,12 +25,13 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from .conventions import BUILTIN_SPACES
 from .errors import (
     NonIntegralError,
     ParameterDependenceError,
     ZeroWeightError,
 )
-from .partitions import enum_colored
+from .partitions import check_rank, enum_colored
 from .record import Record
 from .series import Series
 from .vertex import ChartWeights, EquivParams, chart_sums, determinant
@@ -86,10 +87,7 @@ class SplitBundle(Record):
     __slots__ = ("rank", "per_chart")
 
     def __init__(self, rank: int, per_chart: tuple[tuple[Vec3, ...], ...]):
-        if not isinstance(rank, int):
-            raise ValueError(f"rank {rank!r} is not an integer")
-        if rank < 1:
-            raise ValueError("rank must be at least 1")
+        check_rank(rank)
         for index, colors in enumerate(per_chart):
             if len(colors) != rank:
                 raise ValueError("each chart needs one character per summand")
@@ -99,10 +97,6 @@ class SplitBundle(Record):
                         f"chart {index}, summand {j} has character {m}; characters must lie in Z^3"
                     )
         self._set(rank, per_chart)
-
-
-# The built-in spaces by name, each with the dimensions of its projective factors.
-BUILTIN_SPACES = {"p3": (3,), "p2xp1": (2, 1), "p1cubed": (1, 1, 1)}
 
 
 def _projective_product(name: str, dims: tuple[int, ...]) -> ToricSpace:
@@ -172,6 +166,7 @@ def split_bundle(space: ToricSpace, twists) -> SplitBundle:
 
 
 def trivial_bundle(space: ToricSpace, rank: int = 1) -> SplitBundle:
+    check_rank(rank)
     return SplitBundle(rank, tuple(((0, 0, 0),) * rank for _ in space.charts))
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: run main() in process and inspect reports and codes."""
 
+import ast
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quotdt import cli, toric
+from quotdt import cli, toric, vertex
 from quotdt.errors import NonzeroFixedPartError
 from quotdt.series import Series
 from quotdt.vertex import EquivParams
@@ -260,7 +261,7 @@ def test_vertex_probe_does_not_retry_fixed_part(capsys, monkeypatch):
         calls.append(args)
         raise NonzeroFixedPartError("constant term 1 in virtual character")
 
-    monkeypatch.setattr(cli, "chart_sums", broken)
+    monkeypatch.setattr(vertex, "chart_sums", broken)
     code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0")
     assert len(calls) == 1
     assert code == 2
@@ -509,26 +510,89 @@ def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):
     assert "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero" in err
 
 
-def test_cli_import_skips_unused_modules():
-    # chern is imported only by the chern and cobordism commands, and the
-    # package resolves its re-exports on first access, so the import loads
-    # exactly the modules the other commands need.  The value types are
-    # slotted records, so dataclasses and the inspect it pulls in stay out
-    # unless the interpreter's own start-up loaded them.
-    code = (
-        "import sys; before = set(sys.modules); import quotdt.cli, quotdt; "
-        "added = {'dataclasses', 'inspect'} & set(sys.modules) - before; "
-        "assert not added, sorted(added); "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'quotdt'); "
-        "assert loaded == ['quotdt', 'quotdt.cli', 'quotdt.errors', 'quotdt.partitions', "
-        "'quotdt.record', 'quotdt.series', 'quotdt.toric', 'quotdt.vertex'], loaded; "
-        "assert 'concurrent.futures' not in sys.modules, 'futures'; "
-        "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__); "
-        "assert quotdt.named_ring.__module__ == 'quotdt.chern'"
-    )
+def _python(*lines):
+    """Run the lines in a fresh interpreter that imports quotdt from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+# quotdt modules whose code has run; a module cli defers stays a lazy
+# subclass of ModuleType until its first attribute access.
+_RAN = (
+    "sorted(n for n, m in sys.modules.items() "
+    "if n.split('.')[0] == 'quotdt' and type(m) is types.ModuleType)"
+)
+
+
+def test_cli_import_skips_unused_modules():
+    # cli defers every engine module, and the package resolves its
+    # re-exports on first access, so the import runs only what every command
+    # needs.  The value types are slotted records, so dataclasses and the
+    # inspect it pulls in stay out unless the interpreter's own start-up
+    # loaded them.
+    proc = _python(
+        "import sys, types",
+        "before = set(sys.modules)",
+        "import quotdt.cli, quotdt",
+        "added = {'dataclasses', 'inspect'} & set(sys.modules) - before",
+        "assert not added, sorted(added)",
+        f"ran = {_RAN}",
+        "assert ran == ['quotdt', 'quotdt.cli', 'quotdt.errors', 'quotdt.series'], ran",
+        "lazy = sorted(n for n in sys.modules if n.split('.')[0] == 'quotdt' and n not in ran)",
+        "assert lazy == ['quotdt.chern', 'quotdt.conventions', 'quotdt.partitions', "
+        "'quotdt.toric', 'quotdt.vertex'], lazy",
+        "assert 'concurrent.futures' not in sys.modules, 'futures'",
+        "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__)",
+        "assert quotdt.named_ring.__module__ == 'quotdt.chern'",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["macmahon", "--nmax", "3"], []),
+        (["toric", "--space", "p3", "--nmax", "2"],
+         ["conventions", "partitions", "record", "toric", "vertex"]),
+        (["chern", "--space", "quadric"], ["chern", "conventions", "partitions", "record"]),
+        (["chern", "--space", "p3"],
+         ["chern", "conventions", "partitions", "record", "toric", "vertex"]),
+        (["cobordism", "--builtin", "quadric-dpr"],
+         ["chern", "conventions", "partitions", "record"]),
+    ],
+)
+def test_a_command_runs_only_the_modules_it_reads(argv, runs):
+    proc = _python(
+        "import contextlib, io, sys, types",
+        "from quotdt import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert cli.main({argv!r}) == 0",
+        f"print({_RAN})",
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ["quotdt", "quotdt.cli", "quotdt.errors", "quotdt.series"]
+    assert ast.literal_eval(proc.stdout) == sorted(expected + [f"quotdt.{m}" for m in runs])
+
+
+@pytest.mark.parametrize("first, then", [("quotdt.toric", "quotdt.cli"),
+                                         ("quotdt.cli", "quotdt.toric")])
+def test_each_module_name_has_one_module_object(first, then):
+    # a second module object for quotdt.toric would bring a second ToricSpace
+    proc = _python(
+        "import sys",
+        f"import {first}",
+        "early = dict(sys.modules)",
+        f"import {then}",
+        "import quotdt",
+        "from quotdt import cli",
+        "for name in ('chern', 'conventions', 'partitions', 'toric', 'vertex'):",
+        "    module = sys.modules['quotdt.' + name]",
+        "    assert getattr(cli, name) is module is getattr(quotdt, name), name",
+        "    assert early.get('quotdt.' + name, module) is module, name",
+        "from quotdt.toric import builtin_space",
+        "assert isinstance(builtin_space('p3'), cli.toric.ToricSpace)",
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,9 @@ The oracle grows downward-closed box sets one box at a time, which is
 independent of the layered generation used by the package.
 """
 
+import re
+from fractions import Fraction
+
 import pytest
 
 from quotdt.partitions import (
@@ -113,6 +116,17 @@ def test_colored_total_size():
         assert cpp.total_size == 3
     with pytest.raises(ValueError):
         enum_colored(1, 0)
+
+
+def test_enum_colored_refuses_non_integer_size_and_rank():
+    # a float rank used to recurse until RecursionError, and a float size
+    # equal to a cached int one must miss the cache and be refused too
+    assert len(enum_colored(2, 1)) == 3
+    cases = ((2, 1.5, "rank 1.5"), (2, Fraction(1), "rank Fraction(1, 1)"),
+             (2.0, 1, "size 2.0"), (1.5, 1, "size 1.5"))
+    for n, r, named in cases:
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} is not an integer$"):
+            enum_colored(n, r)
 
 
 def test_partition_pair_validation():

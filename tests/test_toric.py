@@ -196,6 +196,16 @@ def test_split_bundles_refuse_non_integer_characters():
     assert split_bundle(p3, [[1], (1,)]) == split_bundle(p3, [1, 1])
 
 
+def test_library_entry_points_refuse_a_non_integer_rank():
+    # the CLI types --rank as int; library callers get the same refusal
+    # instead of a TypeError from tuple repetition or a RecursionError
+    p3 = builtin_space("p3")
+    with pytest.raises(ValueError, match=r"^rank 2\.0 is not an integer$"):
+        trivial_bundle(p3, 2.0)
+    with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
+        count_fixed_points(p3, 1.5, 2)
+
+
 def test_calibration_fixes_the_global_sign():
     # conventions.CALIBRATION pins the one sign the formulas leave open
     space, rank, n, value = conventions.CALIBRATION
