@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import conventions
-from .errors import SingularBasisMatrixError
+from .errors import SingularBasisMatrixError, check_int, check_rank, read_twists
 from .partitions import PartitionPair, enum_partition_pairs
 from .record import Record
 
@@ -29,13 +29,6 @@ Element = dict  # exponent tuple -> Fraction
 
 DIM = 3
 _REDUCE_FUEL = 10 ** 6
-
-
-def _integer(value, what: str) -> int:
-    """value if it is an int; otherwise a ValueError that names it."""
-    if not isinstance(value, int):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
 
 
 def _linear(coeffs, constant=0) -> Element:
@@ -162,7 +155,7 @@ class ChernRing:
 
 def ring_of_projective_product(lam) -> ChernRing:
     """Intersection ring of the product of projective spaces P^lam."""
-    lam = tuple(_integer(x, "factor dimension") for x in lam)
+    lam = tuple(check_int(x, "factor dimension") for x in lam)
     if sum(lam) != DIM or any(x < 1 for x in lam):
         raise ValueError("factor dimensions must be positive and sum to 3")
     units = [[int(j == i) for j in range(len(lam))] for i in range(len(lam))]
@@ -183,7 +176,7 @@ def projective_bundle_ring(twist, sign: int = conventions.GROTHENDIECK_SIGN) -> 
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    twist = _integer(twist, "twist")
+    twist = check_int(twist, "twist")
     rules = (((3, 0), {}), ((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
     tangent = [_linear((1, 0), 1)] * 3 + [_linear((0, 1), 1), _linear((twist, 1), 1)]
     return ChernRing(f"pbundle(p2,{twist})", ("h", "xi"), rules, {(2, 1): Fraction(1)}, tangent)
@@ -219,6 +212,7 @@ _NAMED_RINGS = {"quadric": quadric_threefold, "blowup-p3-conic": blowup_p3_conic
 
 
 def named_ring(name: str) -> ChernRing:
+    """A built-in space, a ring of _NAMED_RINGS, pbundle-p2-<d> or prod:d1.d2..."""
     if name in conventions.BUILTIN_SPACES:
         return ring_of_projective_product(conventions.BUILTIN_SPACES[name])
     if name in _NAMED_RINGS:
@@ -232,6 +226,15 @@ def named_ring(name: str) -> ChernRing:
                 f"ring {name!r}: a projective bundle ring is pbundle-p2-<d> with an integer twist d"
             ) from None
         return projective_bundle_ring(twist)
+    prefix = "prod:"
+    if name.startswith(prefix):
+        try:
+            lam = tuple(int(d) for d in name[len(prefix):].split("."))
+        except ValueError:
+            raise ValueError(
+                f"ring {name!r}: a product ring is prod:d1.d2... with integer dimensions"
+            ) from None
+        return ring_of_projective_product(lam)
     raise ValueError(f"unknown ring {name!r}")
 
 
@@ -242,8 +245,7 @@ class BundleClass:
     """A split bundle on a ring: Chern roots padded with zeros to the rank, and their product."""
 
     def __init__(self, ring: ChernRing, rank: int, roots=()):
-        if _integer(rank, "rank") < 1:
-            raise ValueError("rank must be at least 1")
+        check_rank(rank)
         roots = tuple(roots)
         if len(roots) > rank:
             raise ValueError("more Chern roots than the rank allows")
@@ -266,14 +268,7 @@ def split_bundle_class(ring: ChernRing, twists) -> BundleClass:
     Each twist is an int (one-generator rings) or a tuple with one degree
     per generator; the summand's Chern root is sum_i degree_i * g_i.
     """
-    roots = []
-    for twist in twists:
-        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
-        if len(twist) != len(ring.gens):
-            raise ValueError(f"twist {twist} needs {len(ring.gens)} entries for {ring.name}")
-        roots.append(_linear([_integer(d, "twist degree") for d in twist]))
-    if not roots:
-        raise ValueError("at least one summand is required")
+    roots = [_linear(twist) for twist in read_twists(twists, len(ring.gens), ring.name)]
     return BundleClass(ring, len(roots), roots)
 
 

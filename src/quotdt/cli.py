@@ -24,13 +24,12 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import os
 import random
 import sys
 import time
 from fractions import Fraction
 
-from .errors import QuotDTError
+from .errors import QuotDTError, check_size
 from .series import dt_closed_formula, macmahon, series_pow
 
 
@@ -129,9 +128,6 @@ def build_parser() -> _Parser:
     cmd = commands.add_parser("toric", help="DT series against the closed formula")
     _add_space_bundle(cmd)
     cmd.add_argument("--nmax", type=int, help="highest box count")
-    cmd.add_argument(
-        "--threads", type=int, help="accepted and echoed (>= 1); QUOTDT_THREADS as fallback"
-    )
     _add_common(cmd)
 
     cmd = commands.add_parser("vertex", help="virtual character tables per chart")
@@ -271,11 +267,7 @@ def parse_twists(descriptor: str, factors: int):
             twist = tuple(int(part) for part in body.split("."))
         except ValueError:
             raise UsageError(f"bad bundle summand {token!r}") from None
-        if len(twist) != factors:
-            raise UsageError(f"summand {token!r} needs {factors} degrees")
         summands.append(twist)
-    if not summands:
-        raise UsageError("empty bundle descriptor")
     return tuple(summands)
 
 
@@ -322,40 +314,11 @@ def _check_rank(args, bundle) -> None:
         raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
 
 
-def resolve_threads(threads: int | None) -> int:
-    """--threads, else QUOTDT_THREADS, else 1: checked and echoed, and otherwise unused."""
-    if threads is None:
-        env = os.environ.get("QUOTDT_THREADS")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"QUOTDT_THREADS={env!r} is not an integer") from None
-        if threads < 1:
-            raise UsageError(f"QUOTDT_THREADS={env!r}: threads must be at least 1")
-    elif threads < 1:
-        raise ValueError("threads must be at least 1")
-    return threads
-
-
-def resolve_ring(name: str):
-    if name is None:
-        raise UsageError("a ring is required: --space")
-    if name.startswith("prod:"):
-        try:
-            lam = tuple(int(x) for x in name[5:].split("."))
-        except ValueError:
-            raise UsageError(
-                f"--space {name!r}: a product ring is prod:d1.d2... with integer dimensions"
-            ) from None
-        return chern.ring_of_projective_product(lam)
-    return chern.named_ring(name)
-
-
 def resolve_ring_bundle(args):
     """The ring and bundle that chern and cobordism work on, and the inputs echo."""
-    ring = resolve_ring(args.space)
+    if args.space is None:
+        raise UsageError("a ring is required: --space")
+    ring = chern.named_ring(args.space)
     if args.bundle:
         bundle = chern.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
     else:
@@ -409,8 +372,8 @@ def _verdict(ok: bool) -> str:
 def cmd_toric(args) -> tuple[dict, int]:
     if args.nmax is None:
         raise UsageError("toric needs --nmax")
+    check_size(args.nmax, "--nmax")
     space, bundle = resolve_space_bundle(args)
-    threads = resolve_threads(args.threads)
     series = toric.dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials)
     coeffs = list(series.integer_coeffs())
     c3 = toric.c3_via_localization(space, seed=args.seed, trials=args.trials)
@@ -424,7 +387,7 @@ def cmd_toric(args) -> tuple[dict, int]:
         "rank": bundle.rank,
         "nmax": args.nmax,
         "trials": args.trials,
-        "threads": threads,
+        "threads": 1,  # the sum runs in one thread; kept in the pinned report
     }
     if args.chart:
         inputs["charts"] = [list(map(list, c)) for c in space.charts]
@@ -444,9 +407,7 @@ def cmd_toric(args) -> tuple[dict, int]:
 
 def cmd_vertex(args) -> tuple[dict, int]:
     space, bundle = resolve_space_bundle(args)
-    nmax = 1 if args.nmax is None else args.nmax
-    if nmax < 0:
-        raise UsageError("--nmax must be nonnegative")
+    nmax = check_size(1 if args.nmax is None else args.nmax, "--nmax")
     if args.chart_index is not None and not 0 <= args.chart_index < space.num_charts:
         raise UsageError(f"chart index {args.chart_index} out of range")
     indices = (
@@ -581,8 +542,7 @@ def cmd_cobordism(args) -> tuple[dict, int]:
 def cmd_macmahon(args) -> tuple[dict, int]:
     if args.nmax is None:
         raise UsageError("macmahon needs --nmax")
-    if args.nmax < 0:
-        raise UsageError("--nmax must be nonnegative")
+    check_size(args.nmax, "--nmax")
     power = 1 if args.power is None else args.power
     series = series_pow(macmahon(args.nmax), power)
     if args.negate_q:

@@ -1,7 +1,9 @@
-"""Error taxonomy shared by the whole package.
+"""Error taxonomy shared by the whole package, and the input checks.
 
 Every failure mode that the math can produce has its own class so callers
-(and the CLI exit-code mapping) can react precisely.
+(and the CLI exit-code mapping) can react precisely.  Bad input is a
+ValueError, raised where it enters by one of the checks at the end, which
+every entry point and constructor calls.
 """
 
 
@@ -34,3 +36,41 @@ class NonIntegralError(QuotDTError):
 
 class SingularBasisMatrixError(QuotDTError):
     """The cobordism basis matrix was singular over the rationals."""
+
+
+def check_int(value, what: str) -> int:
+    """value if it is an int; otherwise a ValueError that names it."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def check_rank(rank) -> int:
+    """rank if it is an int of at least 1; otherwise a ValueError."""
+    if check_int(rank, "rank") < 1:
+        raise ValueError("rank must be at least 1")
+    return rank
+
+
+def check_size(value, what: str) -> int:
+    """value if it is an int of at least 0, such as a size or a series order."""
+    if check_int(value, what) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return value
+
+
+def read_twists(twists, entries: int, owner: str) -> tuple[tuple[int, ...], ...]:
+    """One tuple of integer degrees per summand, `entries` degrees each.
+
+    A twist is an int, read as one degree, or a tuple or list of degrees,
+    one per polytope factor or ring generator of owner.
+    """
+    out = []
+    for twist in twists:
+        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
+        if len(twist) != entries:
+            raise ValueError(f"twist {twist} needs {entries} entries for {owner}")
+        out.append(tuple(check_int(d, "twist degree") for d in twist))
+    if not out:
+        raise ValueError("at least one summand is required")
+    return tuple(out)

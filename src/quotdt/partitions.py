@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Tuple
 
+from .errors import check_rank, check_size
 from .record import Record
 
 Box = Tuple[int, int, int]
@@ -76,8 +77,7 @@ class ColoredPlanePartition(Record):
 
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, largest part first."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(n, "n")
     bound = n if max_part is None else min(max_part, n)
 
     def gen(rest: int, cap: int) -> Iterator[Partition]:
@@ -115,9 +115,7 @@ def _subdiagrams(shape: Partition) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
     """All plane partitions of n in a fixed deterministic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
+    if check_size(n, "n") == 0:
         return (EMPTY_PLANE_PARTITION,)
 
     results: list[PlanePartition] = []
@@ -161,20 +159,11 @@ def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (head, *tail)
 
 
-def check_rank(rank) -> None:
-    """ValueError unless rank is an int of at least 1; a non-int is named."""
-    if not isinstance(rank, int):
-        raise ValueError(f"rank {rank!r} is not an integer")
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-
-
 # typed: a float size or rank equal to a cached int one must miss, and be refused.
 @lru_cache(maxsize=None, typed=True)
 def enum_colored(n: int, r: int) -> tuple[ColoredPlanePartition, ...]:
     """All r-tuples of plane partitions with total size n."""
-    if not isinstance(n, int):
-        raise ValueError(f"size {n!r} is not an integer")
+    check_size(n, "size")
     check_rank(r)
     results = []
     for sizes in compositions(n, r):
@@ -224,8 +213,7 @@ def _submultisets(lam: Partition) -> Iterator[Partition]:
 
 def enum_partition_pairs(n: int, r: int) -> tuple[PartitionPair, ...]:
     """All pairs (lambda, mu) with |lambda| = n, mu a sub-multiset, len(mu) <= r."""
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
+    check_size(r, "rank")
     pairs = []
     for lam in partitions_of(n):
         for mu in _submultisets(lam):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonIntegralError
+from .errors import NonIntegralError, check_rank, check_size
 
 
 class Series:
@@ -187,7 +187,7 @@ def _divisor_square_sums(order: int) -> list[int]:
 
 def macmahon(order: int) -> Series:
     """MacMahon's generating series prod_{k>=1} (1 - q^k)^(-k), truncated."""
-    s2 = _divisor_square_sums(order)
+    s2 = _divisor_square_sums(check_size(order, "order"))
     a = [1]
     for n in range(1, order + 1):
         total = sum(s2[k] * a[n - k] for k in range(1, n + 1))
@@ -197,7 +197,6 @@ def macmahon(order: int) -> Series:
 
 def dt_closed_formula(rank: int, c3: int, order: int) -> Series:
     """The closed invariant series M((-1)^rank q)^(rank * c3)."""
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    check_rank(rank)
     m = macmahon(order).substitute_signed(-1 if rank % 2 else 1)
     return m ** (rank * c3)

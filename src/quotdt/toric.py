@@ -30,11 +30,14 @@ from .errors import (
     NonIntegralError,
     ParameterDependenceError,
     ZeroWeightError,
+    check_rank,
+    check_size,
+    read_twists,
 )
-from .partitions import check_rank, enum_colored
+from .partitions import enum_colored
 from .record import Record
 from .series import Series
-from .vertex import ChartWeights, EquivParams, chart_sums, determinant
+from .vertex import ChartWeights, EquivParams, chart_sums, check_unimodular
 
 Vec3 = tuple[int, int, int]
 
@@ -61,11 +64,7 @@ class ToricSpace(Record):
         if not charts:
             raise ValueError("a toric space needs at least one chart")
         for index, chart in enumerate(charts):
-            det = determinant(chart)
-            if det not in (1, -1):
-                raise ValueError(
-                    f"chart {index} has determinant {det}; charts must be unimodular"
-                )
+            check_unimodular(chart, f"chart {index}")
         if twist_vertices is not None and len(twist_vertices) != len(charts):
             raise ValueError("twist vertex data must match the chart list")
         self._set(name, charts, twist_vertices)
@@ -142,17 +141,7 @@ def split_bundle(space: ToricSpace, twists) -> SplitBundle:
     Each twist is an int (single factor spaces) or a tuple with one degree
     per polytope factor.
     """
-    factors = space.num_factors
-    normalized = []
-    for twist in twists:
-        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
-        if len(twist) != factors:
-            raise ValueError(f"twist {twist} needs {factors} entries for {space.name}")
-        if not all(isinstance(d, int) for d in twist):
-            raise ValueError(f"twist {twist} has a degree that is not an integer")
-        normalized.append(twist)
-    if not normalized:
-        raise ValueError("at least one summand is required")
+    normalized = read_twists(twists, space.num_factors, space.name)
     per_chart = []
     for vertices in space.twist_vertices:
         colors = []
@@ -260,8 +249,7 @@ def dt_series(
     space: ToricSpace, bundle: SplitBundle, nmax: int, seed: int = 0, trials: int = 2
 ) -> Series:
     """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers."""
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+    check_size(nmax, "nmax")
     values = _evaluate_at_samples(
         bundle.rank, seed, trials, lambda p: _series_values(space, bundle, nmax, p)
     )
@@ -306,5 +294,6 @@ def count_fixed_points(space: ToricSpace, rank: int, nmax: int) -> tuple[int, ..
     Each chart holds any colored plane partition, so the counts are the
     coefficients of the product over charts of sum_m #enum_colored(m) q^m.
     """
+    check_size(nmax, "nmax")
     counts = tuple(len(enum_colored(m, rank)) for m in range(nmax + 1))
     return _product_over_charts((counts,) * space.num_charts, nmax)

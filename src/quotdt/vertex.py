@@ -75,7 +75,7 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul, sub
 
-from .errors import NonzeroFixedPartError, ZeroWeightError
+from .errors import NonzeroFixedPartError, ZeroWeightError, check_size
 from .partitions import ColoredPlanePartition, enum_colored
 from .record import Record
 
@@ -96,6 +96,13 @@ def determinant(vectors) -> int:
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
 
+def check_unimodular(tangent, where: str = "chart") -> None:
+    """ValueError, naming where, unless the tangent characters have determinant +-1."""
+    det = determinant(tangent)
+    if det not in (1, -1):
+        raise ValueError(f"{where} has determinant {det}; charts must be unimodular")
+
+
 class ChartWeights(Record):
     """Tangent characters and color twists of one chart.
 
@@ -106,9 +113,7 @@ class ChartWeights(Record):
     __slots__ = ("tangent", "twists")
 
     def __init__(self, tangent: tuple[Vec3, Vec3, Vec3], twists: tuple[Vec3, ...]):
-        det = determinant(tangent)
-        if det not in (1, -1):
-            raise ValueError(f"tangent characters have determinant {det}; charts must be unimodular")
+        check_unimodular(tangent)
         if not twists:
             raise ValueError("at least one color is required")
         for j, m in enumerate(twists):
@@ -421,8 +426,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     _zero_weight, as in euler_inverse, prefixed with the failing chart's
     position in charts and n.
     """
-    if nmax < 0:
-        raise ValueError("n must be nonnegative")
+    check_size(nmax, "nmax")
     charts = list(charts)  # read three times below, so a one-shot iterable is taken once
     if any(chart.rank != rank for chart in charts):
         raise ValueError("rank does not match chart data")

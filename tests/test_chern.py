@@ -117,6 +117,18 @@ def test_named_rings_and_exponents():
         C.named_ring("k3")
 
 
+def test_named_ring_reads_products():
+    # prod:d1.d2... is read by the library, as pbundle-p2-<d> is
+    ring = C.named_ring("prod:2.1")
+    assert ring.name == C.named_ring("p2xp1").name == "p2xp1"
+    assert (C.euler_characteristic(ring), C.c3_t_omega(ring)) == (6, -18)
+    for name in ("prod:a", "prod:", "prod:2..1"):
+        with pytest.raises(ValueError, match=rf"^ring '{name}': a product ring is prod:d1\.d2"):
+            C.named_ring(name)
+    with pytest.raises(ValueError, match="sum to 3"):
+        C.named_ring("prod:2.2")
+
+
 # -- mixed Chern vectors -----------------------------------------------------
 
 

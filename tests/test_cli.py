@@ -300,7 +300,7 @@ def test_malformed_product_ring_names_the_grammar(capsys):
         for command in (("chern",), ("cobordism", "--rank", "1")):
             code, out, err = run(capsys, *command, "--space", space)
             assert (code, out) == (1, ""), space
-            assert f"--space {space!r}: a product ring is prod:d1.d2..." in err, err
+            assert f"ring {space!r}: a product ring is prod:d1.d2..." in err, err
 
 
 def test_projective_bundle_ring_reads_a_negative_twist(capsys):
@@ -321,25 +321,6 @@ def test_malformed_projective_bundle_ring_names_the_grammar(capsys):
             code, out, err = run(capsys, *command, "--space", space)
             assert (code, out) == (1, ""), space
             assert f"ring {space!r}: a projective bundle ring is pbundle-p2-<d>" in err, err
-
-
-def test_threads_env_must_be_an_integer(capsys, monkeypatch):
-    for value, message in [("abc", "QUOTDT_THREADS='abc' is not an integer"),
-                           ("1.5", "QUOTDT_THREADS='1.5' is not an integer"),
-                           ("0", "QUOTDT_THREADS='0': threads must be at least 1")]:
-        monkeypatch.setenv("QUOTDT_THREADS", value)
-        code, out, err = run(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")
-        assert (code, out) == (1, "")
-        assert message in err, err
-    # --threads wins over the variable, which is then not read
-    report = run_json(capsys, "toric", "--space", "p3", "--nmax", "1", "--threads", "2")
-    assert report["inputs"]["threads"] == 2
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("QUOTDT_THREADS", "3")
-    report = run_json(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")
-    assert report["inputs"]["threads"] == 3
 
 
 def test_bundle_chart_explicit_characters(capsys):
@@ -444,35 +425,30 @@ def test_negative_tokens_attach_to_any_value_option(capsys):
     assert capsys.readouterr().out.startswith("usage: quotdt toric")
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("QUOTDT_THREADS", raising=False)
-    assert cli.resolve_threads(None) == 1
-    assert cli.resolve_threads(3) == 3
-    monkeypatch.setenv("QUOTDT_THREADS", "5")
-    assert cli.resolve_threads(None) == 5
-    assert cli.resolve_threads(2) == 2
-    with pytest.raises(ValueError):
-        cli.resolve_threads(0)
-
-
-def test_threads_do_not_change_values(capsys):
+def test_toric_refuses_threads_and_ignores_its_variable(capsys, monkeypatch):
+    # the sum runs in one thread: toric has no --threads and reads no
+    # QUOTDT_THREADS, and its report keeps "threads": 1
     argv = ("toric", "--space", "p3", "--bundle", "O,O", "--nmax", "2")
-    one = run_json(capsys, *argv, "--threads", "1")
-    four = run_json(capsys, *argv, "--threads", "4")
-    assert (one["inputs"].pop("threads"), four["inputs"].pop("threads")) == (1, 4)
-    assert one == four
-    code, _, err = run(capsys, *argv, "--threads", "0")
-    assert code == 1 and "threads must be at least 1" in err
+    code, out, err = run(capsys, *argv, "--threads", "2")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --threads 2" in err
+    plain = run_json(capsys, *argv)
+    monkeypatch.setenv("QUOTDT_THREADS", "abc")
+    assert run_json(capsys, *argv) == plain
+    assert plain["inputs"]["threads"] == 1
 
 
 def test_vertex_refuses_negative_nmax(capsys):
-    code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "-3", "--chart-index", "0")
-    assert (code, out) == (1, "")
-    assert err == "usage error: --nmax must be nonnegative\n"
+    # one check, and one message, for the --nmax of every command
+    for argv in (("vertex", "--space", "p3", "--chart-index", "0"), ("toric", "--space", "p3"),
+                 ("macmahon",)):
+        code, out, err = run(capsys, *argv, "--nmax", "-3")
+        assert (code, out) == (1, ""), argv
+        assert err == "usage error: --nmax must be nonnegative\n", argv
 
 
 def test_threads_is_a_toric_option(tmp_path, capsys):
-    # only toric reads --threads, so the other commands refuse it
+    # no command reads --threads, so every one refuses it
     code, out, err = run(capsys, "macmahon", "--nmax", "3", "--threads", "-1")
     assert (code, out) == (1, "")
     assert "unrecognized arguments: --threads -1" in err

@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 import quotdt
 from quotdt import conventions, toric, vertex
 from quotdt.errors import NonIntegralError, ParameterDependenceError, ZeroWeightError
-from quotdt.partitions import compositions, enum_colored
+from quotdt.partitions import (
+    compositions,
+    enum_colored,
+    enum_partition_pairs,
+    enum_plane_partitions,
+    partitions_of,
+)
 from quotdt.series import Series, dt_closed_formula, macmahon, series_pow
 from quotdt.toric import (
     SplitBundle,
@@ -183,8 +189,9 @@ def test_custom_space_has_no_polytope_data():
 
 def test_split_bundles_refuse_non_integer_characters():
     p3 = builtin_space("p3")
-    for twists in ([(1.0,)], [1.5], [0, Fraction(1)]):
-        with pytest.raises(ValueError, match=r"^twist \(.*\) has a degree that is not an integer"):
+    for twists, named in (([(1.0,)], "1.0"), ([1.5], "1.5"), ([0, Fraction(1)], "Fraction(1, 1)")):
+        message = rf"^twist degree {re.escape(named)} is not an integer$"
+        with pytest.raises(ValueError, match=message):
             split_bundle(p3, twists)
     with pytest.raises(ValueError, match=r"^chart 1, summand 0 has character \(1\.0, 0, 0\)"):
         SplitBundle(1, (((0, 0, 0),), ((1.0, 0, 0),)))
@@ -204,6 +211,29 @@ def test_library_entry_points_refuse_a_non_integer_rank():
         trivial_bundle(p3, 2.0)
     with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
         count_fixed_points(p3, 1.5, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0])
+def test_every_size_and_order_is_checked_where_it_enters(bad):
+    # each raises a ValueError that names the size or order; some of these
+    # once returned a result for -1, and most raised a TypeError for 2.0
+    p3 = builtin_space("p3")
+    params = EquivParams((1, 2, 3), (0,))
+    calls = {
+        "nmax": [lambda n: dt_series(p3, trivial_bundle(p3), n),
+                 lambda n: vertex.chart_sums([chart_of(p3, trivial_bundle(p3), 0)], 1, n, params),
+                 lambda n: count_fixed_points(p3, 1, n)],
+        "order": [macmahon, lambda n: dt_closed_formula(1, -20, n)],
+        "size": [lambda n: enum_colored(n, 1)],
+        "n": [enum_plane_partitions, partitions_of],
+    }
+    message = "must be nonnegative" if bad == -1 else f"{bad!r} is not an integer"
+    for name, entries in calls.items():
+        for call in entries:
+            with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+                call(bad)
+    with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
+        enum_partition_pairs(3, 1.5)
 
 
 def test_calibration_fixes_the_global_sign():
