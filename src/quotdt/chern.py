@@ -57,9 +57,6 @@ class ChernRing:
 
     # -- element constructors ------------------------------------------
 
-    def zero(self) -> Element:
-        return {}
-
     def one(self) -> Element:
         return {(0,) * len(self.gens): Fraction(1)}
 
@@ -98,9 +95,6 @@ class ChernRing:
         for factor in factors:
             out = self.mul(out, factor)
         return out
-
-    def power(self, a: Element, k: int) -> Element:
-        return self.product([a] * k)
 
     def reduce(self, a: Element) -> Element:
         """Rewrite to normal form under the ring's homogeneous rules."""
@@ -167,16 +161,16 @@ def ring_of_projective_product(lam) -> ChernRing:
     return ChernRing(name, gens, rules, {lam: Fraction(1)}, tangent)
 
 
-def projective_bundle_ring(twist, sign: int = conventions.GROTHENDIECK_SIGN) -> ChernRing:
+def projective_bundle_ring(twist) -> ChernRing:
     """Ring of P(O + L) over P^2; L has degree `twist`.
 
     xi is the degree one relative class; the quadratic relation is
-    xi^2 = sign * c1(L) xi with the calibrated sign, and the fiber integral is
-    int(xi * beta) = int_base(beta).  c(T) = (1 + h)^3 (1 + xi) (1 + xi + c1(L)).
+    xi^2 = sign * c1(L) xi with sign = conventions.GROTHENDIECK_SIGN, read
+    at each call, and the fiber integral is int(xi * beta) = int_base(beta).
+    c(T) = (1 + h)^3 (1 + xi) (1 + xi + c1(L)).
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     twist = check_int(twist, "twist")
+    sign = conventions.GROTHENDIECK_SIGN
     rules = (((3, 0), {}), ((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
     tangent = [_linear((1, 0), 1)] * 3 + [_linear((0, 1), 1), _linear((twist, 1), 1)]
     return ChernRing(f"pbundle(p2,{twist})", ("h", "xi"), rules, {(2, 1): Fraction(1)}, tangent)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-from .errors import check_rank, check_size
+from .errors import check_int, check_rank, check_size
 from .record import Record
 
 Box = Tuple[int, int, int]
@@ -44,10 +44,6 @@ class PlanePartition(Record):
         partition._set(tuple(sorted(boxes)))
         return partition
 
-    @property
-    def size(self) -> int:
-        return len(self.boxes)
-
     def __len__(self) -> int:
         return len(self.boxes)
 
@@ -70,15 +66,11 @@ class ColoredPlanePartition(Record):
     def rank(self) -> int:
         return len(self.parts)
 
-    @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.parts)
-
 
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, largest part first."""
     check_size(n, "n")
-    bound = n if max_part is None else min(max_part, n)
+    bound = n if max_part is None else min(check_int(max_part, "max_part"), n)
 
     def gen(rest: int, cap: int) -> Iterator[Partition]:
         if rest == 0:
@@ -112,7 +104,6 @@ def _subdiagrams(shape: Partition) -> Iterator[Partition]:
     yield from gen(0, shape[0])
 
 
-@lru_cache(maxsize=None)
 def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
     """All plane partitions of n in a fixed deterministic order."""
     if check_size(n, "n") == 0:
@@ -165,12 +156,14 @@ def enum_colored(n: int, r: int) -> tuple[ColoredPlanePartition, ...]:
     """All r-tuples of plane partitions with total size n."""
     check_size(n, "size")
     check_rank(r)
+    pools: dict[int, tuple[PlanePartition, ...]] = {}  # each size is built once per call
     results = []
     for sizes in compositions(n, r):
-        pools = [enum_plane_partitions(m) for m in sizes]
         stack: list[tuple[PlanePartition, ...]] = [()]
-        for pool in pools:
-            stack = [(*partial, p) for partial in stack for p in pool]
+        for m in sizes:
+            if m not in pools:
+                pools[m] = enum_plane_partitions(m)
+            stack = [(*partial, p) for partial in stack for p in pools[m]]
         results.extend(ColoredPlanePartition(parts) for parts in stack)
     return tuple(results)
 

@@ -42,22 +42,11 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls((1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, power: int, order: int, coeff: Fraction | int = 1) -> "Series":
-        if not 0 <= power <= order:
-            raise ValueError("monomial power outside truncation order")
-        cs = [0] * (order + 1)
-        cs[power] = coeff
-        return cls(cs)
-
     # -- inspection -------------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n]
 
     def integer_coeffs(self) -> tuple[int, ...]:
         """Coefficients as ints; raises if any is non-integral."""
@@ -109,9 +98,6 @@ class Series:
         return Series(out)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Series":
-        return self ** -1
 
     def __pow__(self, exponent: int) -> "Series":
         if not isinstance(exponent, int):

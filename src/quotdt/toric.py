@@ -30,6 +30,7 @@ from .errors import (
     NonIntegralError,
     ParameterDependenceError,
     ZeroWeightError,
+    check_int,
     check_rank,
     check_size,
     read_twists,
@@ -192,7 +193,7 @@ def draw_admissible(rank: int, rng: random.Random, compute):
 
 def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     """Run compute at `trials` admissible parameter points; results must agree."""
-    if trials < 2:
+    if check_int(trials, "trials") < 2:
         raise ValueError("at least two independent samples are required")
     rng = random.Random(seed)
     results = [draw_admissible(rank, rng, compute)[1] for _ in range(trials)]

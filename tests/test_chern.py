@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from quotdt import chern as C
-from quotdt.conventions import GROTHENDIECK_SIGN
+from quotdt import chern as C, conventions
 from quotdt.errors import SingularBasisMatrixError
 from quotdt.partitions import PartitionPair, enum_partition_pairs
 from quotdt.record import Record
@@ -28,21 +27,21 @@ from quotdt.record import Record
 def test_projective_space_ring():
     ring = C.ring_of_projective_product((3,))
     h = ring.gen("h1")
-    assert ring.integrate(ring.power(h, 3)) == 1
-    assert ring.integrate(ring.power(h, 2)) == 0
-    assert not ring.power(h, 4)
+    assert ring.integrate(ring.product([h] * 3)) == 1
+    assert ring.integrate(ring.product([h] * 2)) == 0
+    assert not ring.product([h] * 4)
     c1, c2, c3 = ring.tangent_classes()
     assert c1 == ring.scale(h, 4)
-    assert c2 == ring.scale(ring.power(h, 2), 6)
-    assert c3 == ring.scale(ring.power(h, 3), 4)
+    assert c2 == ring.scale(ring.product([h] * 2), 6)
+    assert c3 == ring.scale(ring.product([h] * 3), 4)
 
 
 def test_product_ring_integrals():
     ring = C.ring_of_projective_product((2, 1))
     h1, h2 = ring.gen("h1"), ring.gen("h2")
-    assert ring.integrate(ring.mul(ring.power(h1, 2), h2)) == 1
-    assert ring.integrate(ring.power(h1, 3)) == 0  # h1^3 = 0 on P^2
-    assert not ring.power(h2, 2)
+    assert ring.integrate(ring.mul(ring.product([h1] * 2), h2)) == 1
+    assert ring.integrate(ring.product([h1] * 3)) == 0  # h1^3 = 0 on P^2
+    assert not ring.product([h2] * 2)
     with pytest.raises(ValueError):
         C.ring_of_projective_product((2, 2))
 
@@ -50,11 +49,11 @@ def test_product_ring_integrals():
 def test_quadric_ring():
     ring = C.quadric_threefold()
     hh = ring.gen("H")
-    assert ring.integrate(ring.power(hh, 3)) == 2
+    assert ring.integrate(ring.product([hh] * 3)) == 2
     c1, c2, c3 = ring.tangent_classes()
     assert c1 == ring.scale(hh, 3)
-    assert c2 == ring.scale(ring.power(hh, 2), 4)
-    assert c3 == ring.scale(ring.power(hh, 3), 2)
+    assert c2 == ring.scale(ring.product([hh] * 2), 4)
+    assert c3 == ring.scale(ring.product([hh] * 3), 2)
     assert C.euler_characteristic(ring) == 4
     assert C.c3_t_omega(ring) == -20
 
@@ -64,20 +63,19 @@ def test_projective_bundle_ring_relation():
     xi = ring.gen("xi")
     h = ring.gen("h")
     # xi^2 reduces to -h xi in the calibrated sub convention
-    assert ring.power(xi, 2) == ring.scale(ring.mul(h, xi), GROTHENDIECK_SIGN)
-    assert ring.integrate(ring.mul(ring.power(h, 2), xi)) == 1
-    assert ring.integrate(ring.power(xi, 3)) == 1
-    assert ring.integrate(C.projective_bundle_ring(2).power(
-        C.projective_bundle_ring(2).gen("xi"), 3)) == 4
+    assert ring.product([xi] * 2) == ring.scale(ring.mul(h, xi), conventions.GROTHENDIECK_SIGN)
+    assert ring.integrate(ring.mul(ring.product([h] * 2), xi)) == 1
+    assert ring.integrate(ring.product([xi] * 3)) == 1
+    ring = C.projective_bundle_ring(2)
+    assert ring.integrate(ring.product([ring.gen("xi")] * 3)) == 4
 
 
-def test_projective_bundle_sign_calibration():
+def test_projective_bundle_sign_calibration(monkeypatch):
     # chi of a P^1 bundle over P^2 must be 2 * chi(P^2) = 6; the wrong sign
     # in the quadratic relation gives 12 as soon as the twist is nonzero
     assert C.euler_characteristic(C.projective_bundle_ring(1)) == 6
-    assert C.euler_characteristic(C.projective_bundle_ring(1, sign=1)) == 12
-    with pytest.raises(ValueError):
-        C.projective_bundle_ring(1, sign=2)
+    monkeypatch.setattr(conventions, "GROTHENDIECK_SIGN", 1)
+    assert C.euler_characteristic(C.projective_bundle_ring(1)) == 12
 
 
 def test_projective_bundle_exponent_is_twist_independent():
@@ -90,13 +88,13 @@ def test_projective_bundle_exponent_is_twist_independent():
 def test_blowup_ring_structure_constants():
     ring = C.blowup_p3_conic()
     h, e = ring.gen("H"), ring.gen("E")
-    assert ring.integrate(ring.power(h, 3)) == 1
-    assert ring.integrate(ring.mul(ring.power(h, 2), e)) == 0
-    assert ring.integrate(ring.mul(h, ring.power(e, 2))) == -2
-    assert ring.integrate(ring.power(e, 3)) == -6
+    assert ring.integrate(ring.product([h] * 3)) == 1
+    assert ring.integrate(ring.mul(ring.product([h] * 2), e)) == 0
+    assert ring.integrate(ring.mul(h, ring.product([e] * 2))) == -2
+    assert ring.integrate(ring.product([e] * 3)) == -6
     # c1^3 = (4H - E)^3 = 64 + 3*16*0 - 3*4*(-2)*... expanded: 46
     c1 = ring.tangent_classes()[0]
-    assert ring.integrate(ring.power(c1, 3)) == 46
+    assert ring.integrate(ring.product([c1] * 3)) == 46
     assert C.euler_characteristic(ring) == 6
     assert C.c3_t_omega(ring) == -18
 
@@ -320,7 +318,7 @@ def test_decompose_random_split_bundles():
         rank = rng.randint(1, 3)
         roots = []
         for _ in range(rng.randint(0, rank)):
-            root = ring.zero()
+            root = {}
             for gen_name in ring.gens:
                 root = ring.add(root, ring.scale(ring.gen(gen_name), rng.randint(-2, 2)))
             roots.append(root)

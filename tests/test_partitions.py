@@ -72,7 +72,7 @@ def test_plane_partition_validation():
         PlanePartition(((0, 0, -1),))
     with pytest.raises(ValueError):
         PlanePartition(((0, 0, 0), (0, 0, 0)))
-    assert EMPTY_PLANE_PARTITION.size == 0
+    assert len(EMPTY_PLANE_PARTITION) == 0
 
 
 def test_partitions_of():
@@ -113,7 +113,7 @@ def _prod(xs):
 def test_colored_total_size():
     for cpp in enum_colored(3, 2):
         assert cpp.rank == 2
-        assert cpp.total_size == 3
+        assert sum(map(len, cpp.parts)) == 3
     with pytest.raises(ValueError):
         enum_colored(1, 0)
 

@@ -58,7 +58,7 @@ def _reference_pow(s: Series, exponent: int) -> Series:
 def _reference_macmahon(order: int) -> Series:
     result = Series.one(order)
     for k in range(1, order + 1):
-        factor = Series.one(order) - Series.monomial(k, order)
+        factor = Series((1, *(0,) * (k - 1), -1, *(0,) * (order - k)))
         result = result * _reference_pow(factor, -k)
     return result
 
@@ -76,9 +76,9 @@ def test_inverse_is_two_sided():
         a = random_series(rng)
         if not a.coeffs[0]:
             continue
-        assert (a * a.inverse()).coeffs == Series.one(a.order).coeffs
+        assert (a * a ** -1).coeffs == Series.one(a.order).coeffs
     with pytest.raises(ZeroDivisionError):
-        Series((0, 1, 2)).inverse()
+        Series((0, 1, 2)) ** -1
 
 
 def test_pow_matches_repeated_mul():
@@ -206,17 +206,7 @@ def test_float_coefficients_are_refused():
     for coeffs in ([1, 0.5], (1.0,), [Fraction(1), 2, -0.0]):
         with pytest.raises(TypeError, match="is a float"):
             Series(coeffs)
-    with pytest.raises(TypeError, match="is a float"):
-        Series.monomial(1, 2, coeff=0.5)
     for combine in (lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5):
         with pytest.raises(TypeError, match="cannot be combined with float"):
             combine(Series((1, 2)))
 
-
-def test_monomial_and_coeff():
-    s = Series.monomial(2, 4, coeff=7)
-    assert s.coeff(2) == 7
-    assert s.order == 4
-    assert s.coeff(0) == 0
-    with pytest.raises(ValueError):
-        Series.monomial(5, 4)

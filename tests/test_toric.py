@@ -158,6 +158,31 @@ def test_rank_two_series():
     assert want.integer_coeffs() == (1, -40, 700)
 
 
+@pytest.mark.parametrize("name, twists, nmax", [
+    ("p3", (0, 1), 4),
+    ("p2xp1", ((0, 0), (1, -1)), 4),
+    ("p1cubed", ((0, 0, 0), (1, 0, 2), (0, -1, 1)), 2),
+    ("p3", (0, 1, 2), 3),
+])
+def test_rank_reduction_per_chart(name, twists, nmax):
+    # Each chart's series is M((-1)^r q)^(-r E) with E fixed by s alone
+    # (MNOP for r = 1, Fasola-Monavari-Ricolfi for r > 1), so at one s and
+    # independent v the rank r series is Z_1((-1)^(r - 1) q)^r, chart by chart.
+    space = builtin_space(name)
+    bundles = [split_bundle(space, twists), trivial_bundle(space)]
+    rng = random.Random(2003)
+    params = sample_params(bundles[0].rank, rng)
+    points = [params, EquivParams(params.s, sample_params(1, rng).v)]
+    series = []
+    for bundle, point in zip(bundles, points):
+        charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+        rows = vertex.chart_sums(charts, bundle.rank, nmax, point)
+        series.append([Series((1, *column)) for column in zip(*rows)])
+    r = bundles[0].rank
+    for ci, (z_r, z_1) in enumerate(zip(*series)):
+        assert z_r == z_1.substitute_signed((-1) ** (r - 1)) ** r, f"chart {ci}"
+
+
 def test_seed_independence():
     p3 = builtin_space("p3")
     bundle = trivial_bundle(p3)
@@ -234,6 +259,17 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
                 call(bad)
     with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
         enum_partition_pairs(3, 1.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p3: dt_series(p3, trivial_bundle(p3), 2, trials=2.5), "trials 2.5"),
+    (lambda p3: c3_via_localization(p3, trials=3.0), "trials 3.0"),
+    (lambda p3: partitions_of(3, max_part=1.5), "max_part 1.5"),
+], ids=["dt_series", "c3_via_localization", "partitions_of"])
+def test_trials_and_max_part_are_checked_where_they_enter(call, message):
+    # each once raised a TypeError from range
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        call(builtin_space("p3"))
 
 
 def test_calibration_fixes_the_global_sign():
@@ -450,8 +486,9 @@ def test_toric_path_builds_one_weight_table_per_chart_and_sample(monkeypatch):
 
 
 def test_process_caches_are_exactly_the_traced_ones():
-    # chart_of and the other helpers build per call; only these keep an
-    # lru_cache, which the benchmark tracer rewraps by name
+    # chart_of, enum_plane_partitions and the other helpers build per call;
+    # only these keep an lru_cache: the benchmark tracer rewraps the
+    # unbounded ones by name, and _formal_character holds one entry
     for info in pkgutil.iter_modules(quotdt.__path__):
         importlib.import_module(f"quotdt.{info.name}")
     cached = sorted(
@@ -463,7 +500,6 @@ def test_process_caches_are_exactly_the_traced_ones():
     )
     assert cached == [
         "partitions.enum_colored",
-        "partitions.enum_plane_partitions",
         "vertex._formal_character",
         "vertex.chart_contribution",
         "vertex.vertex_character",

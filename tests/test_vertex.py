@@ -10,7 +10,8 @@ calls alternate between partitions and charts and on random unimodular
 charts, and euler_inverse's scalar weights against the exponent-dict loop
 _reference_euler.  The partition-outer chart_sums is checked against
 chart-by-chart sums, and its weight tables against the codes of its
-characters, each unpacked once per call.
+characters, each unpacked once per call.  At a Calabi-Yau parameter point
+every single term is checked against its known sign.
 """
 
 import json
@@ -110,6 +111,10 @@ def _reference_euler(char: LaurentPoly, params: EquivParams) -> Fraction:
         else:
             num *= w ** (-coeff)
     return Fraction(num, den)
+
+
+def _cross(a, b) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 # Twisted bundles per space: rank 1, then rank 2 with summands of unequal twist.
@@ -565,9 +570,7 @@ def test_chart_characters_match_direct_ones(case, data):
         v[k] = -sum(map(mul, exps, (*s, *v)))
     else:
         # s orthogonal to the tangent part: its cross product with a random vector
-        x, y, z = exps[:3]
-        a, b, c = data.draw(st.tuples(draw_int, draw_int, draw_int))
-        s = [y * c - z * b, z * a - x * c, x * b - y * a]
+        s = list(_cross(exps[:3], data.draw(st.tuples(draw_int, draw_int, draw_int))))
     # at the origin every weight is zero, so both name the first monomial
     for zero in (EquivParams(tuple(s), tuple(v)), EquivParams((0, 0, 0), (0,) * r)):
         with pytest.raises(ZeroWeightError) as got:
@@ -592,6 +595,51 @@ def test_chart_sums_equal_sums_of_euler_inverse(chart, data):
     except ZeroWeightError:
         assume(False)
     assert rows == _per_term_rows((chart,), r, nmax, params)
+
+
+def cy_params(chart: ChartWeights, data) -> EquivParams:
+    """A parameter point where kappa = a1 + a2 + a3 has weight 0; v is drawn freely.
+
+    u = kappa x e, for a unit vector e not parallel to kappa, and kappa x u
+    span the integer vectors orthogonal to kappa over Q; s is a drawn
+    integer combination of the two.
+    """
+    kappa = tuple(map(sum, zip(*chart.tangent)))
+    u = next(u for u in (_cross(kappa, e) for e in STD) if any(u))
+    w = _cross(kappa, u)
+    coeff = st.integers(-10 ** 4, 10 ** 4)
+    alpha, beta = data.draw(coeff), data.draw(coeff)
+    s = tuple(alpha * x + beta * y for x, y in zip(u, w))
+    return EquivParams(s, tuple(data.draw(coeff) for _ in range(chart.rank)))
+
+
+# every chart of each built-in bundle of TWISTS, one bundle per entry
+_TWISTED_CHARTS = [
+    [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    for space in map(builtin_space, sorted(TWISTS))
+    for bundle in (split_bundle(space, twists) for twists in TWISTS[space.name])
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(charts=st.one_of(unimodular_charts().map(lambda chart: [chart]),
+                        st.sampled_from(_TWISTED_CHARTS)),
+       data=st.data())
+def test_every_term_is_a_sign_at_a_calabi_yau_point(charts, data):
+    # Where kappa has weight 0 the obstruction theory is symmetric
+    # (Behrend-Fantechi; MNOP for r = 1, Fasola-Monavari-Ricolfi for r > 1),
+    # so each colored partition of size n contributes exactly (-1)^(r n).
+    # This checks terms one by one, where a sum can hide two wrong terms.
+    for chart in charts:
+        r = chart.rank
+        params = cy_params(chart, data)
+        for n in range((5, 3, 2)[r - 1] + 1):  # sizes of at most 24 partitions
+            for cpp in enum_colored(n, r):
+                try:
+                    value = euler_inverse(vertex_character(cpp, chart), params)
+                except ZeroWeightError:
+                    assume(False)
+                assert value == (-1) ** (r * n), (cpp, params)
 
 
 _DIGIT = st.integers(-(MAX_BOX + 2), MAX_BOX + 1)
