@@ -1,10 +1,13 @@
 """Exact intersection rings of 3-folds and the double point calculus.
 
-A ChernRing is a graded commutative ring presented by degree one generators,
-homogeneous rewrite rules (truncations g^k -> 0 plus optional quadratic
-relations) and an integration table on the degree three normal-form
-monomials.  Elements are sparse dicts from exponent tuples to Fractions;
-products are truncated above degree three, which is all a 3-fold can absorb.
+Every output here reads integrals of degree three polynomials in Chern
+classes, and a 3-fold's cobordism class with a bundle is fixed by those
+numbers.  So a ChernRing is presented by its degree one generators and its
+Chern-number pairing alone: a table from each degree three exponent tuple to
+its integral, where a monomial absent from the table integrates to zero.
+Elements are sparse dicts from exponent tuples to Fractions, polynomials in
+the free generators truncated above degree three; truncation is a ring
+homomorphism, so every integral agrees with the one in the true ring.
 A ring multiplies the factors of c(T) once, on construction, and a
 BundleClass its (1 + root) factors; split_bundle_class builds one from
 integer twists, as toric.split_bundle does on the toric side.
@@ -28,7 +31,6 @@ from .record import Record
 Element = dict  # exponent tuple -> Fraction
 
 DIM = 3
-_REDUCE_FUEL = 10 ** 6
 
 
 def _linear(coeffs, constant=0) -> Element:
@@ -41,17 +43,24 @@ def _linear(coeffs, constant=0) -> Element:
 
 
 class ChernRing:
-    """A 3-fold's intersection ring with its total tangent Chern class.
+    """A 3-fold's Chern-number pairing with its total tangent Chern class.
 
-    rules are (key, replacement) rewrites tried in order, integrals the
-    degree three functional on normal forms, and tangent the factors whose
-    product is c(T).
+    integrals maps degree three exponent tuples over gens to their integrals;
+    any other degree three monomial integrates to zero.  tangent lists the
+    factors whose product is c(T).
     """
 
-    def __init__(self, name: str, gens, rules, integrals: Mapping, tangent):
+    def __init__(self, name: str, gens, integrals: Mapping, tangent):
         self.name = name
         self.gens = tuple(gens)
-        self.rules = tuple(rules)
+        for exps in integrals:
+            if not (
+                isinstance(exps, tuple) and len(exps) == len(self.gens)
+                and all(type(e) is int and e >= 0 for e in exps) and sum(exps) == DIM
+            ):
+                raise ValueError(
+                    f"ring {name}: integral key {exps!r} is not a degree 3 monomial in {self.gens}"
+                )
         self.integrals = integrals
         self.tangent_total = self.product(tangent)
 
@@ -88,41 +97,13 @@ class ChernRing:
                 key = tuple(x + y for x, y in zip(e1, e2))
                 if sum(key) <= DIM:
                     acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return self.reduce(acc)  # which drops the zero coefficients
+        return {exps: c for exps, c in acc.items() if c}
 
     def product(self, factors) -> Element:
         out = self.one()
         for factor in factors:
             out = self.mul(out, factor)
         return out
-
-    def reduce(self, a: Element) -> Element:
-        """Rewrite to normal form under the ring's homogeneous rules."""
-        out: Element = {}
-        stack = list(a.items())
-        fuel = _REDUCE_FUEL
-        while stack:
-            fuel -= 1
-            if fuel < 0:
-                raise RuntimeError(f"rewrite system of {self.name} does not terminate")
-            exps, coeff = stack.pop()
-            if not coeff:
-                continue
-            rule = self._find_rule(exps)
-            if rule is None:
-                out[exps] = out.get(exps, Fraction(0)) + coeff
-                continue
-            key, replacement = rule
-            quotient = tuple(x - y for x, y in zip(exps, key))
-            for rexps, rc in replacement.items():
-                stack.append((tuple(x + y for x, y in zip(quotient, rexps)), coeff * rc))
-        return {exps: c for exps, c in out.items() if c}
-
-    def _find_rule(self, exps):
-        for key, replacement in self.rules:
-            if all(e >= k for e, k in zip(exps, key)):
-                return key, replacement
-        return None
 
     # -- integration and tangent classes ---------------------------------
 
@@ -131,14 +112,7 @@ class ChernRing:
 
     def integrate(self, a: Element) -> Fraction:
         """Degree three functional; lower degrees integrate to zero."""
-        total = Fraction(0)
-        for exps, coeff in self.reduce(a).items():
-            if sum(exps) != DIM:
-                continue
-            if exps not in self.integrals:
-                raise RuntimeError(f"ring {self.name} has no integral for {exps}")
-            total += coeff * self.integrals[exps]
-        return total
+        return sum((c * self.integrals.get(exps, 0) for exps, c in a.items()), Fraction(0))
 
     def tangent_classes(self) -> tuple[Element, Element, Element]:
         return tuple(self.degree_part(self.tangent_total, d) for d in (1, 2, 3))
@@ -153,27 +127,27 @@ def ring_of_projective_product(lam) -> ChernRing:
     if sum(lam) != DIM or any(x < 1 for x in lam):
         raise ValueError("factor dimensions must be positive and sum to 3")
     units = [[int(j == i) for j in range(len(lam))] for i in range(len(lam))]
-    rules = tuple((tuple(x * (dim + 1) for x in unit), {}) for unit, dim in zip(units, lam))
     # c(T) = prod_i (1 + h_i)^(dim_i + 1)
     tangent = [_linear(unit, 1) for unit, dim in zip(units, lam) for _ in range(dim + 1)]
     name = "x".join(f"p{d}" for d in lam)
     gens = tuple(f"h{i + 1}" for i in range(len(lam)))
-    return ChernRing(name, gens, rules, {lam: Fraction(1)}, tangent)
+    return ChernRing(name, gens, {lam: 1}, tangent)
 
 
 def projective_bundle_ring(twist) -> ChernRing:
     """Ring of P(O + L) over P^2; L has degree `twist`.
 
-    xi is the degree one relative class; the quadratic relation is
-    xi^2 = sign * c1(L) xi with sign = conventions.GROTHENDIECK_SIGN, read
-    at each call, and the fiber integral is int(xi * beta) = int_base(beta).
+    xi is the degree one relative class.  The fiber integral
+    int(xi * beta) = int_base(beta) and the relation
+    xi^2 = sign * c1(L) xi, with sign = conventions.GROTHENDIECK_SIGN read at
+    each call, give int h^(3-b) xi^b = (sign * twist)^(b-1) for b = 1, 2, 3.
     c(T) = (1 + h)^3 (1 + xi) (1 + xi + c1(L)).
     """
     twist = check_int(twist, "twist")
     sign = conventions.GROTHENDIECK_SIGN
-    rules = (((3, 0), {}), ((0, 2), {(1, 1): Fraction(sign * twist)} if twist else {}))
+    integrals = {(3 - b, b): (sign * twist) ** (b - 1) for b in (1, 2, 3)}
     tangent = [_linear((1, 0), 1)] * 3 + [_linear((0, 1), 1), _linear((twist, 1), 1)]
-    return ChernRing(f"pbundle(p2,{twist})", ("h", "xi"), rules, {(2, 1): Fraction(1)}, tangent)
+    return ChernRing(f"pbundle(p2,{twist})", ("h", "xi"), integrals, tangent)
 
 
 def quadric_threefold() -> ChernRing:
@@ -181,25 +155,20 @@ def quadric_threefold() -> ChernRing:
     # (1 + 2H)^-1 truncated in degree <= 3.
     inverse = {(d,): Fraction((-2) ** d) for d in range(DIM + 1)}
     tangent = [_linear((1,), 1)] * 5 + [inverse]
-    return ChernRing("quadric", ("H",), (((4,), {}),), {(3,): Fraction(2)}, tangent)
+    return ChernRing("quadric", ("H",), {(3,): 2}, tangent)
 
 
 def blowup_p3_conic() -> ChernRing:
-    """P^3 blown up along a plane conic, presented by structure constants.
+    """P^3 blown up along a plane conic, presented by its intersection numbers.
 
     H is the pulled back hyperplane, E the exceptional divisor over the conic:
-    H^2 E = 0, H E^2 = -2 H^3, E^3 = -6 H^3, int H^3 = 1.  The degree three
-    tangent class is normalized by its integral chi = 6, the only datum any
-    degree three functional can see.
+    int H^3 = 1, H^2 E = 0, H E^2 = -2, E^3 = -6.  The degree three tangent
+    class is normalized by its integral chi = 6, the only datum any degree
+    three functional can see.
     """
-    rules = (
-        ((2, 1), {}),
-        ((1, 2), {(3, 0): Fraction(-2)}),
-        ((0, 3), {(3, 0): Fraction(-6)}),
-        ((4, 0), {}),
-    )
+    integrals = {(3, 0): 1, (1, 2): -2, (0, 3): -6}
     tangent = {(0, 0): 1, (1, 0): 4, (0, 1): -1, (2, 0): 8, (1, 1): -4, (3, 0): 6}
-    return ChernRing("blowup-p3-conic", ("H", "E"), rules, {(3, 0): Fraction(1)}, [tangent])
+    return ChernRing("blowup-p3-conic", ("H", "E"), integrals, [tangent])
 
 
 _NAMED_RINGS = {"quadric": quadric_threefold, "blowup-p3-conic": blowup_p3_conic}

@@ -32,7 +32,8 @@ Projective bundle rings
     xi^2 = GROTHENDIECK_SIGN * c1(L) * xi and the relative Euler sequence
     gives c(T) = c(T_base) * (1 + xi) * (1 + xi + c1(L)).  The sign is pinned
     by the calibration integral c3(T) = 2 * chi(base), which the other choice
-    violates as soon as L is nontrivial.
+    violates as soon as L is nontrivial.  A ring is presented by its integrals,
+    so the sign enters through int h xi^2 = GROTHENDIECK_SIGN * deg(L).
 
 Built-in spaces
     A name in BUILTIN_SPACES denotes one product of projective spaces on both

@@ -39,8 +39,8 @@ class SingularBasisMatrixError(QuotDTError):
 
 
 def check_int(value, what: str) -> int:
-    """value if it is an int; otherwise a ValueError that names it."""
-    if not isinstance(value, int):
+    """value if it is an int and not a bool; otherwise a ValueError that names it."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
 

@@ -195,7 +195,7 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     """Run compute at `trials` admissible parameter points; results must agree."""
     if check_int(trials, "trials") < 2:
         raise ValueError("at least two independent samples are required")
-    rng = random.Random(seed)
+    rng = random.Random(check_int(seed, "seed"))
     results = [draw_admissible(rank, rng, compute)[1] for _ in range(trials)]
     first = results[0]
     for trial, other in enumerate(results[1:], start=1):

@@ -41,7 +41,8 @@ def test_product_ring_integrals():
     h1, h2 = ring.gen("h1"), ring.gen("h2")
     assert ring.integrate(ring.mul(ring.product([h1] * 2), h2)) == 1
     assert ring.integrate(ring.product([h1] * 3)) == 0  # h1^3 = 0 on P^2
-    assert not ring.product([h2] * 2)
+    for gamma in (h1, h2):  # h2^2 = 0 on P^1
+        assert ring.integrate(ring.mul(gamma, ring.product([h2] * 2))) == 0
     with pytest.raises(ValueError):
         C.ring_of_projective_product((2, 2))
 
@@ -62,8 +63,10 @@ def test_projective_bundle_ring_relation():
     ring = C.projective_bundle_ring(1)
     xi = ring.gen("xi")
     h = ring.gen("h")
-    # xi^2 reduces to -h xi in the calibrated sub convention
-    assert ring.product([xi] * 2) == ring.scale(ring.mul(h, xi), conventions.GROTHENDIECK_SIGN)
+    # xi^2 = -h xi in the calibrated sub convention, seen by every degree one class
+    for gamma in (h, xi):
+        got = ring.integrate(ring.mul(gamma, ring.product([xi] * 2)))
+        assert got == conventions.GROTHENDIECK_SIGN * ring.integrate(ring.product([gamma, h, xi]))
     assert ring.integrate(ring.mul(ring.product([h] * 2), xi)) == 1
     assert ring.integrate(ring.product([xi] * 3)) == 1
     ring = C.projective_bundle_ring(2)
@@ -133,12 +136,91 @@ def test_named_ring_reads_products():
 def test_rings_are_complete_on_construction():
     # the ring multiplies the given factors of c(T) once, in __init__
     one_plus_h = {(0,): 1, (1,): 1}
-    ring = C.ChernRing("p3 by hand", ("h",), (((4,), {}),), {(3,): Fraction(1)}, [one_plus_h] * 4)
+    ring = C.ChernRing("p3 by hand", ("h",), {(3,): 1}, [one_plus_h] * 4)
     assert ring.tangent_total == C.ring_of_projective_product((3,)).tangent_total
     assert ring.tangent_total == {(d,): Fraction(c) for d, c in enumerate((1, 4, 6, 4))}
     assert (C.c3_t_omega(ring), C.euler_characteristic(ring)) == (-20, 4)
-    bare = C.ChernRing("point-like", ("h",), (((4,), {}),), {(3,): Fraction(1)}, [])
+    bare = C.ChernRing("point-like", ("h",), {(3,): 1}, [])
     assert bare.tangent_total == bare.one()
+
+
+@pytest.mark.parametrize("gens, key", [
+    (("h",), (2,)), (("h",), (4,)), (("h",), (3, 0)), (("h",), 3), (("h",), (3.0,)),
+    (("h", "e"), (4, -1)), (("a", "b", "c"), (True, True, True)),
+])
+def test_ring_refuses_an_integral_key_that_is_not_a_degree_three_monomial(gens, key):
+    # a misspelt key would otherwise integrate to zero without a word
+    with pytest.raises(ValueError, match=r"^ring typo: integral key .* is not a degree 3 monomial in"):
+        C.ChernRing("typo", gens, {key: 1}, [])
+
+
+# Chern numbers of every named ring, frozen: (c3_t_omega, euler_characteristic,
+# and the mixed Chern vectors of the split bundles of rank 1, 2, 3 whose
+# summands twist the generators by _FROZEN_TWISTS[:rank], cut to the ring's
+# generators).  Generated before rings were presented by their integrals.
+_FROZEN_TWISTS = ((1, 2, 3), (-1, 1, -2), (2, -1, 1))
+_FROZEN_CHERN_NUMBERS = {
+    "p3": (-20, 4, [
+        (4, 24, 64, 6, 16, 4, 1),
+        (4, 24, 64, 0, 0, -4, 0, 0, 0),
+        (4, 24, 64, 12, 32, -4, 16, -2, -2, 8),
+    ]),
+    "p2xp1": (-18, 6, [
+        (6, 24, 54, 12, 30, 14, 6),
+        (6, 24, 54, 9, 27, -5, 0, -3, 0),
+        (6, 24, 54, 18, 42, 13, 32, -1, 8, 24),
+    ]),
+    "p1cubed": (-16, 8, [
+        (8, 24, 48, 24, 48, 44, 36),
+        (8, 24, 48, 16, 32, -14, 12, -16, 0),
+        (8, 24, 48, 24, 48, 6, 48, 2, 6, 48),
+    ]),
+    "quadric": (-20, 4, [
+        (4, 24, 54, 8, 18, 6, 2),
+        (4, 24, 54, 0, 0, -6, 0, 0, 0),
+        (4, 24, 54, 16, 36, -6, 24, -4, -4, 16),
+    ]),
+    "blowup-p3-conic": (-18, 6, [
+        (6, 24, 46, 24, 34, 4, -71),
+        (6, 24, 46, 24, 30, -10, -18, -30, -162),
+        (6, 24, 46, 32, 48, 8, 24, 0, -6, -88),
+    ]),
+    "pbundle-p2--2": (-18, 6, [
+        (6, 24, 62, 24, 62, 62, 62),
+        (6, 24, 62, 27, 75, 13, 90, 15, 108),
+        (6, 24, 62, 30, 74, 13, 88, 1, 16, 104),
+    ]),
+    "pbundle-p2--1": (-18, 6, [
+        (6, 24, 56, 18, 44, 34, 26),
+        (6, 24, 56, 18, 48, 2, 36, 0, 27),
+        (6, 24, 56, 24, 56, 14, 56, 2, 14, 56),
+    ]),
+    "pbundle-p2-0": (-18, 6, [
+        (6, 24, 54, 12, 30, 14, 6),
+        (6, 24, 54, 9, 27, -5, 0, -3, 0),
+        (6, 24, 54, 18, 42, 13, 32, -1, 8, 24),
+    ]),
+    "pbundle-p2-1": (-18, 6, [
+        (6, 24, 56, 6, 20, 2, 2),
+        (6, 24, 56, 0, 12, -8, -18, 6, 27),
+        (6, 24, 56, 12, 32, 10, 16, -8, -2, 8),
+    ]),
+    "pbundle-p2-2": (-18, 6, [
+        (6, 24, 62, 0, 14, -2, 14),
+        (6, 24, 62, -9, 3, -7, -18, 27, 108),
+        (6, 24, 62, 6, 26, 5, 8, -19, -16, 8),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_CHERN_NUMBERS))
+def test_chern_numbers_frozen(name):
+    exponent, chi, vectors = _FROZEN_CHERN_NUMBERS[name]
+    ring = C.named_ring(name)
+    assert (C.c3_t_omega(ring), C.euler_characteristic(ring)) == (exponent, chi)
+    for rank, want in enumerate(vectors, start=1):
+        twists = [row[:len(ring.gens)] for row in _FROZEN_TWISTS[:rank]]
+        assert C.mixed_chern_vector(ring, C.split_bundle_class(ring, twists)) == want
 
 
 def test_builders_refuse_non_integers():

@@ -238,10 +238,11 @@ def test_library_entry_points_refuse_a_non_integer_rank():
         count_fixed_points(p3, 1.5, 2)
 
 
-@pytest.mark.parametrize("bad", [-1, 2.0])
+@pytest.mark.parametrize("bad", [-1, 2.0, True])
 def test_every_size_and_order_is_checked_where_it_enters(bad):
     # each raises a ValueError that names the size or order; some of these
-    # once returned a result for -1, and most raised a TypeError for 2.0
+    # once returned a result for -1, most raised a TypeError for 2.0, and
+    # True was once read as 1
     p3 = builtin_space("p3")
     params = EquivParams((1, 2, 3), (0,))
     calls = {
@@ -257,8 +258,16 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
         for call in entries:
             with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
                 call(bad)
-    with pytest.raises(ValueError, match=r"^rank 1\.5 is not an integer$"):
-        enum_partition_pairs(3, 1.5)
+    for rank in (1.5, True):
+        for call in (lambda r: enum_partition_pairs(3, r), lambda r: trivial_bundle(p3, r)):
+            with pytest.raises(ValueError, match=f"^rank {re.escape(str(rank))} is not an integer$"):
+                call(rank)
+    # a seed once ran as 1.5, and [1] raised a TypeError from random
+    for seed in (1.5, [1]):
+        for call in (lambda s: dt_series(p3, trivial_bundle(p3), 2, seed=s),
+                     lambda s: c3_via_localization(p3, seed=s)):
+            with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+                call(seed)
 
 
 @pytest.mark.parametrize("call, message", [
