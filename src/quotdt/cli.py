@@ -97,10 +97,12 @@ class _Parser(argparse.ArgumentParser):
 # -- argument plumbing -----------------------------------------------------
 
 
-def _add_common(sub):
+def _add_common(sub, sampled: bool = False):
+    """The options of every command; --trials only on one that samples its invariants."""
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--seed", type=int, help="RNG seed recorded in the report")
-    sub.add_argument("--trials", type=int, help="independent parameter samples (>= 2)")
+    if sampled:
+        sub.add_argument("--trials", type=int, help="independent parameter samples (>= 2)")
     sub.add_argument("--format", choices=("table", "json"), help="report format")
     sub.add_argument("--timing", action="store_true", help="include elapsed_ms in the report")
 
@@ -128,7 +130,7 @@ def build_parser() -> _Parser:
     cmd = commands.add_parser("toric", help="DT series against the closed formula")
     _add_space_bundle(cmd)
     cmd.add_argument("--nmax", type=int, help="highest box count")
-    _add_common(cmd)
+    _add_common(cmd, sampled=True)
 
     cmd = commands.add_parser("vertex", help="virtual character tables per chart")
     _add_space_bundle(cmd)
@@ -140,7 +142,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--space", help="ring name, e.g. p2xp1, quadric, pbundle-p2-1, prod:2.1")
     cmd.add_argument("--bundle", help="split bundle in the divisor generators, e.g. O2 or O1.0")
     cmd.add_argument("--rank", type=int, help="rank of the trivial bundle when --bundle is absent")
-    _add_common(cmd)
+    _add_common(cmd, sampled=True)
 
     cmd = commands.add_parser("cobordism", help="phi basis and double point relations")
     cmd.add_argument("--builtin", help="quadric-dpr | normal-cone-dpr | naive-quadric-dpr")
@@ -230,26 +232,12 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
 # -- descriptor parsing ----------------------------------------------------
 
 
-def parse_vectors(text: str, chart: bool = False):
-    """'x,y,z;x,y,z' -> one integer triple per ';'-separated row.
-
-    A chart (three tangent weights) needs exactly three rows; a bundle chart
-    has one row, a summand character, per summand.
-    """
-    what = "chart vector" if chart else "summand character"
-    rows = text.split(";")
-    if chart and len(rows) != 3:
-        raise UsageError(f"chart {text!r} needs three ';'-separated vectors")
-    vectors = []
-    for row in rows:
-        try:
-            vec = tuple(int(x) for x in row.split(","))
-        except ValueError:
-            raise UsageError(f"bad {what} {row!r}") from None
-        if len(vec) != 3:
-            raise UsageError(f"{what} {row!r} needs three entries")
-        vectors.append(vec)
-    return tuple(vectors)
+def parse_vectors(text: str):
+    """'x,y,z;x,y,z' -> one int tuple per ';'-separated row; the constructors check the shapes."""
+    try:
+        return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+    except ValueError:
+        raise UsageError(f"bad vector list {text!r}") from None
 
 
 def parse_twists(descriptor: str, factors: int):
@@ -275,7 +263,7 @@ def resolve_space_bundle(args) -> tuple[toric.ToricSpace, toric.SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
             raise UsageError("give either --space or --chart data, not both")
-        space = toric.ToricSpace("custom", tuple(parse_vectors(c, chart=True) for c in args.chart))
+        space = toric.ToricSpace("custom", tuple(map(parse_vectors, args.chart)))
     elif args.space == "custom":
         raise UsageError("--space custom needs --chart data, one --chart per fixed point")
     elif args.space:
@@ -283,19 +271,16 @@ def resolve_space_bundle(args) -> tuple[toric.ToricSpace, toric.SplitBundle]:
     else:
         raise UsageError("a space is required: --space or --chart")
 
-    if args.bundle and args.bundle_chart:
+    if args.bundle is not None and args.bundle_chart:
         raise UsageError("give either --bundle or --bundle-chart, not both")
     if args.bundle_chart:
-        per_chart = tuple(parse_vectors(b) for b in args.bundle_chart)
+        per_chart = tuple(map(parse_vectors, args.bundle_chart))
         if len(per_chart) != space.num_charts:
             raise UsageError(
                 f"{len(per_chart)} bundle charts for {space.num_charts} space charts"
             )
-        ranks = {len(colors) for colors in per_chart}
-        if len(ranks) != 1:
-            raise UsageError("every chart needs the same number of summands")
-        bundle = toric.SplitBundle(ranks.pop(), per_chart)
-    elif args.bundle:
+        bundle = toric.SplitBundle(len(per_chart[0]), per_chart)
+    elif args.bundle is not None:
         if space.twist_vertices is None:
             tokens = [t.strip() for t in args.bundle.split(",")]
             if any(t != "O" for t in tokens):
@@ -319,7 +304,7 @@ def resolve_ring_bundle(args):
     if args.space is None:
         raise UsageError("a ring is required: --space")
     ring = chern.named_ring(args.space)
-    if args.bundle:
+    if args.bundle is not None:
         bundle = chern.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
     else:
         bundle = chern.trivial_bundle_class(ring, 1 if args.rank is None else args.rank)
@@ -618,10 +603,11 @@ def main(argv=None) -> int:
         args = merge_config(args, parser.commands[args.command])
         if args.seed is None:
             args.seed = 0
-        if args.trials is None:
-            args.trials = 2
-        if args.trials < 2:
-            raise UsageError("--trials must be at least 2")
+        if "trials" in args:
+            if args.trials is None:
+                args.trials = 2
+            if args.trials < 2:
+                raise UsageError("--trials must be at least 2")
         if args.format is None:
             args.format = "json"
         report, code = _DISPATCH[args.command](args)

@@ -3,7 +3,9 @@
 Every failure mode that the math can produce has its own class so callers
 (and the CLI exit-code mapping) can react precisely.  Bad input is a
 ValueError, raised where it enters by one of the checks at the end, which
-every entry point and constructor calls.
+every entry point and constructor calls.  check_vector is the one check of
+a lattice vector: tangent and bundle characters, twist vertices, torus
+parameters and the boxes of plane partitions all enter through it.
 """
 
 
@@ -57,6 +59,17 @@ def check_size(value, what: str) -> int:
     if check_int(value, what) < 0:
         raise ValueError(f"{what} must be nonnegative")
     return value
+
+
+def check_vector(value, size: int, what: str) -> tuple[int, ...]:
+    """value, a tuple or list of `size` ints, as a tuple; otherwise a ValueError naming it."""
+    if (
+        not isinstance(value, (tuple, list))
+        or len(value) != size
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"{what} {value!r} is not a vector in Z^{size}")
+    return tuple(value)
 
 
 def read_twists(twists, entries: int, owner: str) -> tuple[tuple[int, ...], ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-from .errors import check_int, check_rank, check_size
+from .errors import check_int, check_rank, check_size, check_vector
 from .record import Record
 
 Box = Tuple[int, int, int]
@@ -25,7 +25,7 @@ class PlanePartition(Record):
     __slots__ = ("boxes",)
 
     def __init__(self, boxes: tuple[Box, ...]):
-        boxes = tuple(sorted(boxes))
+        boxes = tuple(sorted(check_vector(box, 3, "box") for box in boxes))
         box_set = frozenset(boxes)
         if len(box_set) != len(boxes):
             raise ValueError("duplicate boxes")

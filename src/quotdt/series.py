@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonIntegralError, check_rank, check_size
+from .errors import NonIntegralError, check_int, check_rank, check_size
 
 
 class Series:
@@ -184,5 +184,6 @@ def macmahon(order: int) -> Series:
 def dt_closed_formula(rank: int, c3: int, order: int) -> Series:
     """The closed invariant series M((-1)^rank q)^(rank * c3)."""
     check_rank(rank)
+    check_int(c3, "c3")
     m = macmahon(order).substitute_signed(-1 if rank % 2 else 1)
     return m ** (rank * c3)

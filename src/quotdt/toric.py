@@ -33,6 +33,7 @@ from .errors import (
     check_int,
     check_rank,
     check_size,
+    check_vector,
     read_twists,
 )
 from .partitions import enum_colored
@@ -50,8 +51,10 @@ class ToricSpace(Record):
     """Chart data of a smooth toric 3-fold.
 
     twist_vertices[chart][factor] is the weight of the factor's degree one
-    line bundle at the chart's fixed point; it is None for custom spaces fed
-    with raw chart data, which must then supply bundles explicitly.
+    line bundle at the chart's fixed point, one vector in Z^3 per factor
+    and the same factors on every chart; it is None for custom spaces fed
+    with raw chart data, which must then supply bundles explicitly.  Both
+    may be given as lists; they are stored as tuples.
     """
 
     __slots__ = ("name", "charts", "twist_vertices")
@@ -64,10 +67,14 @@ class ToricSpace(Record):
     ):
         if not charts:
             raise ValueError("a toric space needs at least one chart")
-        for index, chart in enumerate(charts):
-            check_unimodular(chart, f"chart {index}")
-        if twist_vertices is not None and len(twist_vertices) != len(charts):
-            raise ValueError("twist vertex data must match the chart list")
+        charts = tuple(check_unimodular(chart, f"chart {i}") for i, chart in enumerate(charts))
+        if twist_vertices is not None:
+            twist_vertices = tuple(
+                tuple(check_vector(vert, 3, f"chart {i} twist vertex") for vert in vertices)
+                for i, vertices in enumerate(twist_vertices)
+            )
+            if len(twist_vertices) != len(charts) or len(set(map(len, twist_vertices))) != 1:
+                raise ValueError("every chart needs one twist vertex per factor")
         self._set(name, charts, twist_vertices)
 
     @property
@@ -88,14 +95,13 @@ class SplitBundle(Record):
 
     def __init__(self, rank: int, per_chart: tuple[tuple[Vec3, ...], ...]):
         check_rank(rank)
-        for index, colors in enumerate(per_chart):
+        per_chart = tuple(
+            tuple(check_vector(m, 3, f"chart {i}, summand {j} character") for j, m in enumerate(c))
+            for i, c in enumerate(per_chart)
+        )
+        for i, colors in enumerate(per_chart):
             if len(colors) != rank:
-                raise ValueError("each chart needs one character per summand")
-            for j, m in enumerate(colors):
-                if len(m) != 3 or not all(isinstance(x, int) for x in m):
-                    raise ValueError(
-                        f"chart {index}, summand {j} has character {m}; characters must lie in Z^3"
-                    )
+                raise ValueError(f"chart {i} has {len(colors)} characters {colors}, not {rank}")
         self._set(rank, per_chart)
 
 

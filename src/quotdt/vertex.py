@@ -59,10 +59,11 @@ one weight table per chart for all sizes, and loops over partitions on the
 outside and charts on the inside, so each formal character is built once
 for all charts and held in a one-entry memo.  Before it evaluates a size,
 it weighs that size's new codes into every table at once.  It takes the
-same two products as euler_inverse, but adds the terms top / bottom of
-each chart pairwise, as unreduced int pairs N / D over gcd(D1, D2), so
-the two operands of an addition are partial sums of about the same size
-and it builds one Fraction per chart and size, not one per term.  It never
+same two products as euler_inverse, collects each chart's terms
+top / bottom for the size as unreduced int pairs N / D, and adds them
+neighbour to neighbour in rounds over gcd(D1, D2), so the two operands of
+an addition are partial sums of about the same size and it builds one
+Fraction per chart and size, not one per term.  It never
 calls euler_inverse: both name a zero weight through _zero_weight, which
 builds the exponents of the first zero-weight monomial in formal order.
 vertex_character and chart_contribution keep their process-lifetime caches.
@@ -75,7 +76,7 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul, sub
 
-from .errors import NonzeroFixedPartError, ZeroWeightError, check_size
+from .errors import NonzeroFixedPartError, ZeroWeightError, check_size, check_vector
 from .partitions import ColoredPlanePartition, enum_colored
 from .record import Record
 
@@ -83,24 +84,22 @@ Vec3 = tuple[int, int, int]
 
 
 def determinant(vectors) -> int:
-    """Determinant of three vectors in Z^3; ValueError for any other shape or entry."""
-    if len(vectors) != 3 or any(len(v) != 3 for v in vectors):
-        raise ValueError("a chart needs three tangent characters in Z^3")
-    for v in vectors:
-        for x in v:
-            if not isinstance(x, int):
-                raise ValueError(
-                    f"tangent character {v} has entry {x!r}; tangent characters must lie in Z^3"
-                )
+    """Determinant of three vectors in Z^3."""
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vectors
     return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
 
 
-def check_unimodular(tangent, where: str = "chart") -> None:
-    """ValueError, naming where, unless the tangent characters have determinant +-1."""
+def check_unimodular(tangent, where: str = "chart") -> tuple[Vec3, Vec3, Vec3]:
+    """tangent as three int triples; ValueError, naming where, unless it is three
+    vectors in Z^3 with determinant +-1.
+    """
+    if not isinstance(tangent, (tuple, list)) or len(tangent) != 3:
+        raise ValueError(f"{where} {tangent!r} is not three tangent characters")
+    tangent = tuple(check_vector(a, 3, f"{where} tangent character") for a in tangent)
     det = determinant(tangent)
     if det not in (1, -1):
         raise ValueError(f"{where} has determinant {det}; charts must be unimodular")
+    return tangent
 
 
 class ChartWeights(Record):
@@ -113,12 +112,10 @@ class ChartWeights(Record):
     __slots__ = ("tangent", "twists")
 
     def __init__(self, tangent: tuple[Vec3, Vec3, Vec3], twists: tuple[Vec3, ...]):
-        check_unimodular(tangent)
+        tangent = check_unimodular(tangent)
+        twists = tuple(check_vector(m, 3, f"twist {j}") for j, m in enumerate(twists))
         if not twists:
             raise ValueError("at least one color is required")
-        for j, m in enumerate(twists):
-            if len(m) != 3 or not all(isinstance(x, int) for x in m):
-                raise ValueError(f"twist {j} is {m}; twists must lie in Z^3")
         self._set(tangent, twists)
 
     @property
@@ -316,12 +313,7 @@ class EquivParams(Record):
     __slots__ = ("s", "v")
 
     def __init__(self, s: tuple[int, int, int], v: tuple[int, ...] = ()):
-        if len(s) != 3:
-            raise ValueError("s must have exactly three entries")
-        for x in (*s, *v):
-            if not isinstance(x, int):
-                raise TypeError("parameters must be integers")
-        self._set(s, v)
+        self._set(check_vector(s, 3, "s"), check_vector(v, len(v), "v"))
 
     @property
     def rank(self) -> int:
@@ -416,13 +408,11 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
     weighed into every table (_weigh) before any term is evaluated.
 
     A term is two int products of table lookups, top / bottom, as in
-    euler_inverse, but no Fraction is built per term.  Each chart keeps a
-    binary counter of partial sums (count, N, D), unreduced int pairs: a
-    term is pushed as (1, top, bottom), and while the last two entries
-    cover the same number of terms they are merged over gcd(D1, D2).  So
-    the operands of an addition grow together, a chart holds
-    O(log #partitions) entries, and each chart and size folds its stack
-    into one Fraction.  A zero product raises the ZeroWeightError of
+    euler_inverse, but no Fraction is built per term.  Each chart collects
+    its terms for the size as unreduced int pairs (N, D), then adds them
+    neighbour to neighbour in rounds over gcd(D1, D2), so the operands of
+    an addition grow together, and builds one Fraction from the last
+    pair.  A zero product raises the ZeroWeightError of
     _zero_weight, as in euler_inverse, prefixed with the failing chart's
     position in charts and n.
     """
@@ -441,7 +431,7 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
         if tables:
             codes = set().union(*(chars[0].formal[0] for chars in characters))
             _weigh(tables, codes.difference(tables[0]))
-        stacks = [[] for _ in tables]
+        terms = [[] for _ in tables]
         for chars in characters:
             for i, char in enumerate(chars):
                 table = tables[i]
@@ -451,20 +441,14 @@ def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[F
                 bottom = prod(map(weigh, den))
                 if not (top and bottom):
                     raise ZeroWeightError(f"chart {i}, n={n}: {_zero_weight(char, table)}")
-                stack = stacks[i]
-                count = 1
-                while stack and stack[-1][0] == count:
-                    _, a, b = stack.pop()
-                    top, bottom = _add(a, b, top, bottom)
-                    count *= 2
-                stack.append((count, top, bottom))
+                terms[i].append((top, bottom))
         row = []
-        for stack in stacks:
-            _, top, bottom = stack.pop()
-            while stack:
-                _, a, b = stack.pop()
-                top, bottom = _add(a, b, top, bottom)
-            row.append(Fraction(top, bottom))
+        for pairs in terms:
+            while len(pairs) > 1:
+                # add neighbours; an odd last pair waits for the next round
+                odd = pairs[len(pairs) & ~1:]
+                pairs = [_add(*a, *b) for a, b in zip(pairs[::2], pairs[1::2])] + odd
+            row.append(Fraction(*pairs[0]))
         rows.append(row)
     return rows
 

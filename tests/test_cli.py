@@ -1,7 +1,9 @@
 """End-to-end CLI tests: run main() in process and inspect reports and codes."""
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotdt import cli, toric, vertex
 from quotdt.errors import NonzeroFixedPartError
@@ -459,6 +462,98 @@ def test_threads_is_a_toric_option(tmp_path, capsys):
     code, out, err = run(capsys, "chern", "--config", str(cfg))
     assert (code, out) == (1, "")
     assert "unknown config key 'threads' for chern" in err
+
+
+def test_trials_is_an_option_of_the_sampling_commands(tmp_path, capsys):
+    # only toric and chern sample their invariants; the other commands once
+    # took --trials and ignored it
+    for argv in (("macmahon", "--nmax", "3", "--trials", "7"),
+                 ("vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0", "--trials", "9"),
+                 ("cobordism", "--builtin", "quadric-dpr", "--trials", "5")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"unrecognized arguments: --trials {argv[-1]}" in err, argv
+    cfg = tmp_path / "macmahon.cfg"
+    cfg.write_text("nmax = 3\ntrials = 3\n")
+    code, out, err = run(capsys, "macmahon", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "usage error: unknown config key 'trials' for macmahon\n")
+    # chern keeps it, with its minimum of 2
+    report = run_json(capsys, "chern", "--space", "p3", "--trials", "3")
+    assert report["verdicts"]["localization_agrees"] == "PASS"
+    code, out, err = run(capsys, "chern", "--space", "p3", "--trials", "1")
+    assert (code, out, err) == (1, "", "usage error: --trials must be at least 2\n")
+
+
+def test_an_empty_bundle_is_refused(tmp_path, capsys):
+    # an empty --bundle, or a config line "bundle =", was once read as the
+    # trivial bundle
+    want = (1, "", "usage error: bad bundle summand ''\n")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("bundle =\n")
+    for argv in (("toric", "--space", "p3", "--nmax", "2"), ("vertex", "--space", "p3"),
+                 ("chern", "--space", "p3"), ("cobordism", "--space", "p3")):
+        assert run(capsys, *argv, "--bundle=") == want, argv
+        assert run(capsys, *argv, "--config", str(cfg)) == want, argv
+
+
+_P3_CHARTS = ("1,0,0;0,1,0;0,0,1", "-1,0,0;-1,1,0;-1,0,1",
+              "0,-1,0;1,-1,0;0,-1,1", "0,0,-1;1,0,-1;0,1,-1")
+
+
+@st.composite
+def malformed_vector_options(draw):
+    """p3 as --chart and rank 2 --bundle-chart options, one value broken; and what names it.
+
+    A value that is not integers in rows names itself; a row of the wrong
+    length, or a chart of the wrong number of rows, names its int tuples.
+    """
+    values = {"--chart": list(_P3_CHARTS), "--bundle-chart": ["0,0,0;1,0,0"] * 4}
+    flag = draw(st.sampled_from(sorted(values)))
+    index = draw(st.integers(0, 3))
+    rows = [row.split(",") for row in values[flag][index].split(";")]
+    r = draw(st.integers(0, len(rows) - 1))
+    kinds = ["entry", "short row", "long row", "empty row"]
+    if flag == "--chart":
+        kinds += ["missing row", "extra row"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "entry":
+        rows[r][draw(st.integers(0, 2))] = draw(st.sampled_from(["1.5", "True", "x", "", "1/2"]))
+    elif kind == "short row":
+        del rows[r][draw(st.integers(0, 2))]
+    elif kind == "long row":
+        rows[r].append(draw(st.sampled_from(["0", "-1", "7"])))
+    elif kind == "empty row":
+        rows.insert(draw(st.integers(0, len(rows))), [""])
+    elif kind == "missing row":
+        del rows[r]
+    else:
+        rows.insert(r, ["0", "0", "1"])
+    text = ";".join(",".join(row) for row in rows)
+    values[flag][index] = text
+    argv = ["toric", "--nmax", "1"]
+    for name, texts in values.items():
+        argv += [f"{name}={value}" for value in texts]
+    if kind in ("entry", "empty row"):
+        named = repr(text)
+    elif kind in ("missing row", "extra row"):
+        named = repr(tuple(tuple(map(int, row)) for row in rows))
+    else:
+        named = repr(tuple(map(int, rows[r])))
+    return argv, named
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=malformed_vector_options())
+def test_malformed_vector_options_exit_1_and_name_the_value(case):
+    # cli.main is called directly, so an uncaught exception fails the test
+    argv, named = case
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert (code, stdout.getvalue()) == (1, ""), err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert named in err, (named, err)
 
 
 def test_cobordism_builtin_refuses_bundle_and_rank(capsys):

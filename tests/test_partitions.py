@@ -75,6 +75,21 @@ def test_plane_partition_validation():
     assert len(EMPTY_PLANE_PARTITION) == 0
 
 
+def test_plane_partition_boxes_lie_in_z3():
+    # each box is checked before the octant and predecessor checks; these
+    # were once accepted, and (1.0, 0, 0) then failed in chart_terms with a
+    # TypeError
+    for boxes, bad in [(((0.5, 0, 0),), (0.5, 0, 0)),
+                       (((1.0, 0, 0), (0, 0, 0)), (1.0, 0, 0)),
+                       (((0, 0, 0), (True, 0, 0)), (True, 0, 0)),
+                       (((0, 0, 0), (0, 0)), (0, 0)),
+                       ((7,), 7)]:
+        with pytest.raises(ValueError, match=f"^box {re.escape(repr(bad))} is not a vector in Z\\^3$"):
+            PlanePartition(boxes)
+    # lists are read as tuples
+    assert PlanePartition([[1, 0, 0], [0, 0, 0]]) == PlanePartition(((0, 0, 0), (1, 0, 0)))
+
+
 def test_partitions_of():
     assert partitions_of(5) == (
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),

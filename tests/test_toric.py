@@ -218,10 +218,10 @@ def test_split_bundles_refuse_non_integer_characters():
         message = rf"^twist degree {re.escape(named)} is not an integer$"
         with pytest.raises(ValueError, match=message):
             split_bundle(p3, twists)
-    with pytest.raises(ValueError, match=r"^chart 1, summand 0 has character \(1\.0, 0, 0\)"):
-        SplitBundle(1, (((0, 0, 0),), ((1.0, 0, 0),)))
-    with pytest.raises(ValueError, match=r"^chart 0, summand 1 has character \(0, 0\)"):
-        SplitBundle(2, (((0, 0, 0), (0, 0)),))
+    for character in ((1.0, 0, 0), (True, 0, 0), (0, 0)):
+        message = rf"^chart 1, summand 0 character {re.escape(repr(character))} is not a vector in Z\^3$"
+        with pytest.raises(ValueError, match=message):
+            SplitBundle(1, (((0, 0, 0),), (character,)))
     with pytest.raises(ValueError, match=r"^rank 2\.0 is not an integer$"):
         SplitBundle(2.0, (((0, 0, 0), (0, 0, 0)),))
     # lists and tuples of int degrees, and bare ints on one factor, are accepted
@@ -262,6 +262,10 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
         for call in (lambda r: enum_partition_pairs(3, r), lambda r: trivial_bundle(p3, r)):
             with pytest.raises(ValueError, match=f"^rank {re.escape(str(rank))} is not an integer$"):
                 call(rank)
+    # c3 2.5 once raised a TypeError from the series power, and True ran as 1
+    for c3 in (2.5, True):
+        with pytest.raises(ValueError, match=f"^c3 {re.escape(repr(c3))} is not an integer$"):
+            dt_closed_formula(1, c3, 3)
     # a seed once ran as 1.5, and [1] raised a TypeError from random
     for seed in (1.5, [1]):
         for call in (lambda s: dt_series(p3, trivial_bundle(p3), 2, seed=s),
@@ -299,19 +303,49 @@ def test_non_unimodular_chart_rejected_at_construction():
     assert ToricSpace("x", (((0, 1, 0), (1, 0, 0), (0, 0, 1)),)).num_charts == 1
 
 
-@pytest.mark.parametrize("entry", [1.0, Fraction(1)])
+@pytest.mark.parametrize("entry", [1.0, Fraction(1), True])
 def test_non_integer_chart_entries_are_refused_where_they_enter(entry):
     # p3's charts with one entry 1 replaced by an equal non-int; past the
-    # constructors it would fail only inside Fraction, with a TypeError
+    # constructors it would fail only inside Fraction, with a TypeError,
+    # and True was once read as 1
     charts = [list(map(list, chart)) for chart in builtin_space("p3").charts]
     assert charts[0][0] == [1, 0, 0]
     charts[0][0][0] = entry
     charts = tuple(tuple(map(tuple, chart)) for chart in charts)
-    message = re.escape(f"tangent character {(entry, 0, 0)} has entry {entry!r}; ")
-    with pytest.raises(ValueError, match=message):
+    message = re.escape(f"tangent character {(entry, 0, 0)!r} is not a vector in Z^3")
+    with pytest.raises(ValueError, match=f"^chart 0 {message}$"):
         ToricSpace("p3", charts)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^chart {message}$"):
         ChartWeights(charts[0], ((0, 0, 0),))
+
+
+def test_spaces_and_bundles_given_as_lists_are_read_as_tuples():
+    # p3's charts as lists once built a ToricSpace whose dt_series failed
+    # with TypeError: unhashable type: 'list' in an lru_cache, and so did a
+    # SplitBundle of lists
+    p3 = builtin_space("p3")
+    listed = ToricSpace("p3", [[list(a) for a in chart] for chart in p3.charts],
+                        [[list(v) for v in vertices] for vertices in p3.twist_vertices])
+    assert listed == p3
+    want = (1, 20, 150, 400)
+    assert dt_series(listed, trivial_bundle(listed), 3).integer_coeffs() == want
+    bundle = SplitBundle(1, [[[0, 0, 0]] for _ in p3.charts])
+    assert bundle == trivial_bundle(p3)
+    assert dt_series(p3, bundle, 3).integer_coeffs() == want
+
+
+def test_twist_vertices_are_one_z3_vector_per_factor():
+    # ragged twist vertices were once cut short by zip in split_bundle: with
+    # these, the twist (1, 2) lost its second degree on charts 1-3
+    p3 = builtin_space("p3")
+    ragged = (((0, 0, 0), (0, 0, 0)), ((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+    with pytest.raises(ValueError, match="^every chart needs one twist vertex per factor$"):
+        ToricSpace("x", p3.charts, ragged)
+    for vert in ((0.5, 0, 0), (0, True, 0), (0, 0)):
+        bad = (((0, 0, 0),), ((1, 0, 0),), (vert,), ((0, 0, 1),))
+        message = f"^chart 2 twist vertex {re.escape(repr(vert))} is not a vector in Z\\^3$"
+        with pytest.raises(ValueError, match=message):
+            ToricSpace("x", p3.charts, bad)
 
 
 def test_split_bundle_validation():

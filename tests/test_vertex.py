@@ -16,6 +16,7 @@ every single term is checked against its known sign.
 
 import json
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -281,10 +282,19 @@ def test_euler_inverse_weighs_each_chart_and_point_by_its_own_table():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        EquivParams(s=(1, 2))
-    with pytest.raises(TypeError):
-        EquivParams(s=(1, 2, 3.0))
+    # each refusal names the value; a float once raised a TypeError that did
+    # not, and a bool was once read as an int
+    for s, v, message in [
+        ((1, 2), (), "s (1, 2) is not a vector in Z^3"),
+        ((1, 2, 3.0), (), "s (1, 2, 3.0) is not a vector in Z^3"),
+        ((1, 2, 3), (True,), "v (True,) is not a vector in Z^1"),
+        ((1, 2, 3), (0, 0.5), "v (0, 0.5) is not a vector in Z^2"),
+        ((1, 2, 3), "ab", "v 'ab' is not a vector in Z^2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EquivParams(s=s, v=v)
+    # lists are read as tuples
+    assert EquivParams([1, 2, 3], [4]) == EquivParams((1, 2, 3), (4,))
 
 
 def test_fixed_part_is_refused_before_any_chart(monkeypatch):
@@ -506,8 +516,10 @@ def test_chart_weights_must_be_unimodular():
 
 
 def test_chart_weights_twists_lie_in_z3():
-    for twists in [((0, 0, 0), (0, 0, 0, 1)), ((0, 0),), ((Fraction(1, 2), 0, 0),)]:
-        with pytest.raises(ValueError, match=r"twists must lie in Z\^3"):
+    for twists, j in [(((0, 0, 0), (0, 0, 0, 1)), 1), (((0, 0),), 0),
+                      (((Fraction(1, 2), 0, 0),), 0), (((0, False, 0),), 0)]:
+        named = re.escape(repr(twists[j]))
+        with pytest.raises(ValueError, match=rf"^twist {j} {named} is not a vector in Z\^3$"):
             ChartWeights(STD, twists)
 
 
