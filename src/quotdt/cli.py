@@ -12,6 +12,9 @@ and `vertex` add toric, vertex, partitions, record and conventions; `chern`
 and `cobordism` add chern, partitions, record and conventions, and `chern`
 on a built-in toric space adds toric and vertex for its localization check.
 
+Each cmd_* returns its inputs, values, verdicts and exit code, and main
+builds the report {command, inputs, seed, values, verdicts} from them; bad
+input is a ValueError wherever it is raised, and main maps it to exit 1.
 Reports are emitted as JSON (default) or a flat key=value table.  Identical
 configuration and seed give byte-identical output; the optional --timing flag
 adds a wall-clock field and therefore breaks byte determinism, so it is off
@@ -64,10 +67,6 @@ EXIT_INVARIANT = 2
 EXIT_MISMATCH = 3
 
 
-class UsageError(ValueError):
-    """Bad input; main reports it, like any ValueError, with exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     """The one declaration of the CLI's options.
 
@@ -89,16 +88,20 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     # argparse exits with code 2 on bad flags; the contract reserves 2 for
-    # invariant failures, so route everything through UsageError instead.
+    # invariant failures, so raise a ValueError, which main maps to exit 1.
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 # -- argument plumbing -----------------------------------------------------
 
 
 def _add_common(sub, sampled: bool = False):
-    """The options of every command; --trials only on one that samples its invariants."""
+    """The options of every command; --trials only on one that samples its invariants.
+
+    chern samples only on a ring that is a built-in toric space, and refuses
+    --trials on any other.
+    """
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--seed", type=int, help="RNG seed recorded in the report")
     if sampled:
@@ -166,14 +169,14 @@ def load_config(path: str) -> dict[str, list[str]]:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         data.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
     return data
 
@@ -194,22 +197,22 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
     for key, values in data.items():
         if key == "command":
             if values != [args.command]:
-                raise UsageError(f"config names command {values[0]!r}, got {args.command!r}")
+                raise ValueError(f"config names command {values[0]!r}, got {args.command!r}")
             continue
         action = parser.options.get(key)
         if action is None or key in ("help", "config"):
-            raise UsageError(f"unknown config key {key!r} for {args.command}")
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
         if key in parser.appends:
             if not current:
                 setattr(args, key, list(values))
             continue
         if len(values) > 1:
-            raise UsageError(f"config key {key!r} given more than once")
+            raise ValueError(f"config key {key!r} given more than once")
         value = values[0]
         if action.nargs == 0:
             if value.lower() not in _FLAG_VALUES:
-                raise UsageError(f"config key {key!r} wants a boolean, got {value!r}")
+                raise ValueError(f"config key {key!r} wants a boolean, got {value!r}")
             if not current:
                 setattr(args, key, _FLAG_VALUES[value.lower()])
             continue
@@ -220,9 +223,9 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
             try:
                 value = action.type(value)
             except ValueError:
-                raise UsageError(f"config key {key!r} wants an integer, got {value!r}") from None
+                raise ValueError(f"config key {key!r} wants an integer, got {value!r}") from None
         if action.choices is not None and value not in action.choices:
-            raise UsageError(
+            raise ValueError(
                 f"config key {key!r} wants one of {', '.join(action.choices)}, got {value!r}"
             )
         setattr(args, key, value)
@@ -237,7 +240,7 @@ def parse_vectors(text: str):
     try:
         return tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
     except ValueError:
-        raise UsageError(f"bad vector list {text!r}") from None
+        raise ValueError(f"bad vector list {text!r}") from None
 
 
 def parse_twists(descriptor: str, factors: int):
@@ -246,7 +249,7 @@ def parse_twists(descriptor: str, factors: int):
     for token in descriptor.split(","):
         token = token.strip()
         if not token.startswith("O"):
-            raise UsageError(f"bad bundle summand {token!r}")
+            raise ValueError(f"bad bundle summand {token!r}")
         body = token[1:]
         if not body:
             summands.append((0,) * factors)
@@ -254,7 +257,7 @@ def parse_twists(descriptor: str, factors: int):
         try:
             twist = tuple(int(part) for part in body.split("."))
         except ValueError:
-            raise UsageError(f"bad bundle summand {token!r}") from None
+            raise ValueError(f"bad bundle summand {token!r}") from None
         summands.append(twist)
     return tuple(summands)
 
@@ -262,32 +265,26 @@ def parse_twists(descriptor: str, factors: int):
 def resolve_space_bundle(args) -> tuple[toric.ToricSpace, toric.SplitBundle]:
     if args.chart:
         if args.space not in (None, "custom"):
-            raise UsageError("give either --space or --chart data, not both")
+            raise ValueError("give either --space or --chart data, not both")
         space = toric.ToricSpace("custom", tuple(map(parse_vectors, args.chart)))
     elif args.space == "custom":
-        raise UsageError("--space custom needs --chart data, one --chart per fixed point")
+        raise ValueError("--space custom needs --chart data, one --chart per fixed point")
     elif args.space:
         space = toric.builtin_space(args.space)
     else:
-        raise UsageError("a space is required: --space or --chart")
+        raise ValueError("a space is required: --space or --chart")
 
     if args.bundle is not None and args.bundle_chart:
-        raise UsageError("give either --bundle or --bundle-chart, not both")
+        raise ValueError("give either --bundle or --bundle-chart, not both")
     if args.bundle_chart:
         per_chart = tuple(map(parse_vectors, args.bundle_chart))
         if len(per_chart) != space.num_charts:
-            raise UsageError(
+            raise ValueError(
                 f"{len(per_chart)} bundle charts for {space.num_charts} space charts"
             )
         bundle = toric.SplitBundle(len(per_chart[0]), per_chart)
     elif args.bundle is not None:
-        if space.twist_vertices is None:
-            tokens = [t.strip() for t in args.bundle.split(",")]
-            if any(t != "O" for t in tokens):
-                raise UsageError("custom spaces take twisted bundles via --bundle-chart")
-            bundle = toric.trivial_bundle(space, len(tokens))
-        else:
-            bundle = toric.split_bundle(space, parse_twists(args.bundle, space.num_factors))
+        bundle = toric.split_bundle(space, parse_twists(args.bundle, space.num_factors))
     else:
         bundle = toric.trivial_bundle(space, 1 if args.rank is None else args.rank)
     _check_rank(args, bundle)
@@ -296,13 +293,13 @@ def resolve_space_bundle(args) -> tuple[toric.ToricSpace, toric.SplitBundle]:
 
 def _check_rank(args, bundle) -> None:
     if args.rank is not None and bundle.rank != args.rank:
-        raise UsageError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
+        raise ValueError(f"--rank {args.rank} contradicts a rank {bundle.rank} bundle")
 
 
 def resolve_ring_bundle(args):
     """The ring and bundle that chern and cobordism work on, and the inputs echo."""
     if args.space is None:
-        raise UsageError("a ring is required: --space")
+        raise ValueError("a ring is required: --space")
     ring = chern.named_ring(args.space)
     if args.bundle is not None:
         bundle = chern.split_bundle_class(ring, parse_twists(args.bundle, len(ring.gens)))
@@ -354,14 +351,15 @@ def _verdict(ok: bool) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_toric(args) -> tuple[dict, int]:
+def cmd_toric(args) -> tuple[dict, dict, dict, int]:
     if args.nmax is None:
-        raise UsageError("toric needs --nmax")
+        raise ValueError("toric needs --nmax")
     check_size(args.nmax, "--nmax")
     space, bundle = resolve_space_bundle(args)
-    series = toric.dt_series(space, bundle, args.nmax, seed=args.seed, trials=args.trials)
+    trials = 2 if args.trials is None else args.trials
+    series = toric.dt_series(space, bundle, args.nmax, seed=args.seed, trials=trials)
     coeffs = list(series.integer_coeffs())
-    c3 = toric.c3_via_localization(space, seed=args.seed, trials=args.trials)
+    c3 = toric.c3_via_localization(space, seed=args.seed, trials=trials)
     closed = list(dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs())
     counts = toric.count_fixed_points(space, bundle.rank, args.nmax)
     per_coeff = ["MATCH" if a == b else "MISMATCH" for a, b in zip(coeffs, closed)]
@@ -371,7 +369,7 @@ def cmd_toric(args) -> tuple[dict, int]:
         "bundle": args.bundle or args.bundle_chart or f"trivial rank {bundle.rank}",
         "rank": bundle.rank,
         "nmax": args.nmax,
-        "trials": args.trials,
+        "trials": trials,
         "threads": 1,  # the sum runs in one thread; kept in the pinned report
     }
     if args.chart:
@@ -386,15 +384,14 @@ def cmd_toric(args) -> tuple[dict, int]:
         "coefficients": per_coeff,
         "series_matches_closed_formula": "MATCH" if matched else "MISMATCH",
     }
-    report = _base_report("toric", inputs, args.seed, values, verdicts)
-    return report, EXIT_OK if matched else EXIT_MISMATCH
+    return inputs, values, verdicts, EXIT_OK if matched else EXIT_MISMATCH
 
 
-def cmd_vertex(args) -> tuple[dict, int]:
+def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
     space, bundle = resolve_space_bundle(args)
     nmax = check_size(1 if args.nmax is None else args.nmax, "--nmax")
     if args.chart_index is not None and not 0 <= args.chart_index < space.num_charts:
-        raise UsageError(f"chart index {args.chart_index} out of range")
+        raise ValueError(f"chart index {args.chart_index} out of range")
     indices = (
         range(space.num_charts) if args.chart_index is None else (args.chart_index,)
     )
@@ -443,8 +440,7 @@ def cmd_vertex(args) -> tuple[dict, int]:
         "vd_zero": "PASS",
         "symmetry": _verdict(symmetric),
     }
-    report = _base_report("vertex", inputs, args.seed, values, verdicts)
-    return report, EXIT_OK if symmetric else EXIT_INVARIANT
+    return inputs, values, verdicts, EXIT_OK if symmetric else EXIT_INVARIANT
 
 
 def _monomial_label(a, b) -> str:
@@ -458,8 +454,11 @@ def _monomial_label(a, b) -> str:
     return "*".join(parts)
 
 
-def cmd_chern(args) -> tuple[dict, int]:
+def cmd_chern(args) -> tuple[dict, dict, dict, int]:
     ring, bundle, inputs = resolve_ring_bundle(args)
+    localized = args.space in conventions.BUILTIN_SPACES
+    if args.trials is not None and not localized:
+        raise ValueError(f"--trials needs a ring whose c3 is localized, not {args.space!r}")
     vector = chern.mixed_chern_vector(ring, bundle)
     labels = [_monomial_label(a, b) for a, b in chern.mixed_monomials(bundle.rank)]
     values = {
@@ -470,26 +469,26 @@ def cmd_chern(args) -> tuple[dict, int]:
     }
     verdicts = {}
     ok = True
-    if args.space in conventions.BUILTIN_SPACES:
+    if localized:
         space = toric.builtin_space(args.space)
-        localized = toric.c3_via_localization(space, seed=args.seed, trials=args.trials)
-        values["c3_via_localization"] = localized
-        ok = localized == values["c3_t_omega"]
+        trials = 2 if args.trials is None else args.trials
+        c3 = toric.c3_via_localization(space, seed=args.seed, trials=trials)
+        values["c3_via_localization"] = c3
+        ok = c3 == values["c3_t_omega"]
         verdicts["localization_agrees"] = _verdict(ok)
-    report = _base_report("chern", inputs, args.seed, values, verdicts)
-    return report, EXIT_OK if ok else EXIT_INVARIANT
+    return inputs, values, verdicts, EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_cobordism(args) -> tuple[dict, int]:
+def cmd_cobordism(args) -> tuple[dict, dict, dict, int]:
     if args.builtin and args.space:
-        raise UsageError("give either --builtin or --space, not both")
+        raise ValueError("give either --builtin or --space, not both")
     if args.builtin and (args.bundle is not None or args.rank is not None):
-        raise UsageError("--builtin takes no --bundle or --rank")
+        raise ValueError("--builtin takes no --bundle or --rank")
     if args.builtin:
         try:
             quadruple = chern.BUILTIN_DPRS[args.builtin]()
         except KeyError:
-            raise UsageError(
+            raise ValueError(
                 f"unknown built-in {args.builtin!r}; choose from {sorted(chern.BUILTIN_DPRS)}"
             ) from None
         result = chern.dpr_check(*quadruple)
@@ -503,8 +502,7 @@ def cmd_cobordism(args) -> tuple[dict, int]:
             "exponent_identity": _verdict(result.exponent_identity_ok),
             "double_point_relation": _verdict(result.passed),
         }
-        report = _base_report("cobordism", inputs, args.seed, values, verdicts)
-        return report, EXIT_OK if result.passed else EXIT_INVARIANT
+        return inputs, values, verdicts, EXIT_OK if result.passed else EXIT_INVARIANT
 
     ring, bundle, inputs = resolve_ring_bundle(args)
     rank = bundle.rank
@@ -520,13 +518,12 @@ def cmd_cobordism(args) -> tuple[dict, int]:
         "reconstruction": list(rebuilt),
     }
     verdicts = {"reconstructs": _verdict(ok)}
-    report = _base_report("cobordism", inputs, args.seed, values, verdicts)
-    return report, EXIT_OK if ok else EXIT_INVARIANT
+    return inputs, values, verdicts, EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_macmahon(args) -> tuple[dict, int]:
+def cmd_macmahon(args) -> tuple[dict, dict, dict, int]:
     if args.nmax is None:
-        raise UsageError("macmahon needs --nmax")
+        raise ValueError("macmahon needs --nmax")
     check_size(args.nmax, "--nmax")
     power = 1 if args.power is None else args.power
     series = series_pow(macmahon(args.nmax), power)
@@ -534,18 +531,7 @@ def cmd_macmahon(args) -> tuple[dict, int]:
         series = series.substitute_signed(-1)
     inputs = {"nmax": args.nmax, "power": power, "negate_q": bool(args.negate_q)}
     values = {"coefficients": list(series.integer_coeffs())}
-    report = _base_report("macmahon", inputs, args.seed, values, {})
-    return report, EXIT_OK
-
-
-def _base_report(command, inputs, seed, values, verdicts) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "values": values,
-        "verdicts": verdicts,
-    }
+    return inputs, values, {}, EXIT_OK
 
 
 _DISPATCH = {
@@ -603,20 +589,19 @@ def main(argv=None) -> int:
         args = merge_config(args, parser.commands[args.command])
         if args.seed is None:
             args.seed = 0
-        if "trials" in args:
-            if args.trials is None:
-                args.trials = 2
-            if args.trials < 2:
-                raise UsageError("--trials must be at least 2")
+        if getattr(args, "trials", None) is not None and args.trials < 2:
+            raise ValueError("--trials must be at least 2")
         if args.format is None:
             args.format = "json"
-        report, code = _DISPATCH[args.command](args)
+        inputs, values, verdicts, code = _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuotDTError, RuntimeError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    report = dict(command=args.command, inputs=inputs, seed=args.seed,
+                  values=values, verdicts=verdicts)
     if args.timing:
         report["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
     print(render_report(report, args.format))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Tuple
 
-from .errors import check_int, check_rank, check_size, check_vector
+from .errors import check_rank, check_size, check_vector
 from .record import Record
 
 Box = Tuple[int, int, int]
@@ -67,10 +67,9 @@ class ColoredPlanePartition(Record):
         return len(self.parts)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n with parts bounded by max_part, largest part first."""
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n, largest part first."""
     check_size(n, "n")
-    bound = n if max_part is None else min(check_int(max_part, "max_part"), n)
 
     def gen(rest: int, cap: int) -> Iterator[Partition]:
         if rest == 0:
@@ -80,7 +79,7 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
             for tail in gen(rest - part, part):
                 yield (part, *tail)
 
-    return tuple(gen(n, bound))
+    return tuple(gen(n, n))
 
 
 def _subdiagrams(shape: Partition) -> Iterator[Partition]:

@@ -52,9 +52,11 @@ class ToricSpace(Record):
 
     twist_vertices[chart][factor] is the weight of the factor's degree one
     line bundle at the chart's fixed point, one vector in Z^3 per factor
-    and the same factors on every chart; it is None for custom spaces fed
-    with raw chart data, which must then supply bundles explicitly.  Both
-    may be given as lists; they are stored as tuples.
+    and the same factors on every chart.  A custom space fed with raw chart
+    data has no polytope factors: it defaults to one empty tuple per chart,
+    so split_bundle takes only untwisted summands there, and a twisted
+    bundle is given as a SplitBundle.  Both may be given as lists; they
+    are stored as tuples.
     """
 
     __slots__ = ("name", "charts", "twist_vertices")
@@ -65,16 +67,17 @@ class ToricSpace(Record):
         charts: tuple[tuple[Vec3, Vec3, Vec3], ...],
         twist_vertices: tuple[tuple[Vec3, ...], ...] | None = None,
     ):
+        charts = tuple(check_unimodular(chart, f"chart {i}") for i, chart in enumerate(charts))
         if not charts:
             raise ValueError("a toric space needs at least one chart")
-        charts = tuple(check_unimodular(chart, f"chart {i}") for i, chart in enumerate(charts))
-        if twist_vertices is not None:
-            twist_vertices = tuple(
-                tuple(check_vector(vert, 3, f"chart {i} twist vertex") for vert in vertices)
-                for i, vertices in enumerate(twist_vertices)
-            )
-            if len(twist_vertices) != len(charts) or len(set(map(len, twist_vertices))) != 1:
-                raise ValueError("every chart needs one twist vertex per factor")
+        if twist_vertices is None:
+            twist_vertices = ((),) * len(charts)
+        twist_vertices = tuple(
+            tuple(check_vector(vert, 3, f"chart {i} twist vertex") for vert in vertices)
+            for i, vertices in enumerate(twist_vertices)
+        )
+        if len(twist_vertices) != len(charts) or len(set(map(len, twist_vertices))) != 1:
+            raise ValueError("every chart needs one twist vertex per factor")
         self._set(name, charts, twist_vertices)
 
     @property
@@ -83,8 +86,6 @@ class ToricSpace(Record):
 
     @property
     def num_factors(self) -> int:
-        if self.twist_vertices is None:
-            raise ValueError(f"space {self.name} has no polytope factor data")
         return len(self.twist_vertices[0])
 
 

@@ -313,7 +313,9 @@ class EquivParams(Record):
     __slots__ = ("s", "v")
 
     def __init__(self, s: tuple[int, int, int], v: tuple[int, ...] = ()):
-        self._set(check_vector(s, 3, "s"), check_vector(v, len(v), "v"))
+        # a v with no length, such as 7, is refused as a would-be vector in Z^1
+        rank = len(v) if hasattr(v, "__len__") else 1
+        self._set(check_vector(s, 3, "s"), check_vector(v, rank, "v"))
 
     @property
     def rank(self) -> int:

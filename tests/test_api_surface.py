@@ -1,4 +1,4 @@
-"""Every function, class and method of the package has a reader.
+"""Every function, class and method of the package, and every import, has a reader.
 
 A member of src/quotdt passes when the package itself refers to it, when
 README's Library section names it in code, or when perfbench/tracer.py
@@ -73,3 +73,21 @@ def test_every_member_has_a_reader():
         if name not in attributes and name not in library and (method or name not in names)
     ]
     assert sorted(unread) == sorted(ALLOWED)
+
+
+def test_every_import_is_read():
+    # a name a module imports, other than from __future__, is read in that
+    # module as a name or as the base of an attribute; pyflakes would say so
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []

@@ -352,6 +352,20 @@ def test_bundle_and_bundle_chart_are_exclusive(tmp_path, capsys):
         assert (code, out, err) == (1, "", want), command
 
 
+def test_custom_atlas_bundle_takes_untwisted_summands(capsys):
+    # a custom atlas has no polytope factors, so --bundle O,O is the rank 2
+    # trivial bundle and a twisted summand is refused, naming the twist
+    charts = [f"--chart={chart}" for chart in _P3_CHARTS]
+    summands = run_json(capsys, "toric", *charts, "--bundle", "O,O", "--nmax", "2")
+    trivial = run_json(capsys, "toric", *charts, "--rank", "2", "--nmax", "2")
+    # the reports differ only in the bundle they echo
+    assert (summands["inputs"].pop("bundle"), trivial["inputs"].pop("bundle")) == (
+        "O,O", "trivial rank 2")
+    assert summands == trivial
+    code, out, err = run(capsys, "toric", *charts, "--bundle", "O1", "--nmax", "2")
+    assert (code, out, err) == (1, "", "usage error: twist (1,) needs 0 entries for custom\n")
+
+
 def test_custom_space_without_charts_names_the_chart_data(capsys):
     for command in ("toric", "vertex"):
         code, out, err = run(capsys, command, "--space", "custom", "--nmax", "1")
@@ -482,6 +496,18 @@ def test_trials_is_an_option_of_the_sampling_commands(tmp_path, capsys):
     assert report["verdicts"]["localization_agrees"] == "PASS"
     code, out, err = run(capsys, "chern", "--space", "p3", "--trials", "1")
     assert (code, out, err) == (1, "", "usage error: --trials must be at least 2\n")
+
+
+def test_chern_refuses_trials_on_a_ring_it_does_not_sample(tmp_path, capsys):
+    # only a built-in toric ring checks c3 by localization; on any other
+    # ring --trials, or a config line "trials = 5", was once ignored
+    want = (1, "", "usage error: --trials needs a ring whose c3 is localized, not 'quadric'\n")
+    assert run(capsys, "chern", "--space", "quadric", "--trials", "5") == want
+    cfg = tmp_path / "quadric.cfg"
+    cfg.write_text("space = quadric\ntrials = 5\n")
+    assert run(capsys, "chern", "--config", str(cfg)) == want
+    report = run_json(capsys, "chern", "--space", "quadric")
+    assert "c3_via_localization" not in report["values"]
 
 
 def test_an_empty_bundle_is_refused(tmp_path, capsys):

@@ -94,7 +94,6 @@ def test_partitions_of():
     assert partitions_of(5) == (
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),
     )
-    assert partitions_of(4, max_part=2) == ((2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert partitions_of(0) == ((),)
 
 

@@ -25,7 +25,7 @@ def make_values():
         (ChartWeights(STD, ((0, 0, 0), (1, 0, 0))),
          "ChartWeights(tangent=((1, 0, 0), (0, 1, 0), (0, 0, 1)), twists=((0, 0, 0), (1, 0, 0)))"),
         (ToricSpace("custom", (STD,)),
-         "ToricSpace(name='custom', charts=(((1, 0, 0), (0, 1, 0), (0, 0, 1)),), twist_vertices=None)"),
+         "ToricSpace(name='custom', charts=(((1, 0, 0), (0, 1, 0), (0, 0, 1)),), twist_vertices=((),))"),
         (split_bundle(space, (0, 1)),
          "SplitBundle(rank=2, per_chart=(((0, 0, 0), (0, 0, 0)), ((0, 0, 0), (1, 0, 0)), "
          "((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1))))"),

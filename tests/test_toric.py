@@ -205,11 +205,17 @@ def test_custom_space_blowup_of_p3():
 
 
 def test_custom_space_has_no_polytope_data():
-    space = ToricSpace("custom", (((1, 0, 0), (0, 1, 0), (0, 0, 1)),))
-    with pytest.raises(ValueError):
-        space.num_factors
-    with pytest.raises(ValueError):
-        split_bundle(space, [1])
+    # a custom atlas was once a special case whose num_factors raised
+    custom = ToricSpace("custom", builtin_space("p3").charts)
+    assert custom.num_factors == 0
+    assert custom.twist_vertices == ((),) * 4
+    assert split_bundle(custom, [(), ()]) == trivial_bundle(custom, 2)
+    with pytest.raises(ValueError, match=re.escape("twist (1,) needs 0 entries for custom")):
+        split_bundle(custom, [1])
+    # an empty iterator of charts once built a space with no charts
+    for charts in ((), iter(())):
+        with pytest.raises(ValueError, match="^a toric space needs at least one chart$"):
+            ToricSpace("custom", charts)
 
 
 def test_split_bundles_refuse_non_integer_characters():
@@ -277,9 +283,8 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
 @pytest.mark.parametrize("call, message", [
     (lambda p3: dt_series(p3, trivial_bundle(p3), 2, trials=2.5), "trials 2.5"),
     (lambda p3: c3_via_localization(p3, trials=3.0), "trials 3.0"),
-    (lambda p3: partitions_of(3, max_part=1.5), "max_part 1.5"),
-], ids=["dt_series", "c3_via_localization", "partitions_of"])
-def test_trials_and_max_part_are_checked_where_they_enter(call, message):
+], ids=["dt_series", "c3_via_localization"])
+def test_trials_are_checked_where_they_enter(call, message):
     # each once raised a TypeError from range
     with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
         call(builtin_space("p3"))

@@ -290,6 +290,8 @@ def test_params_validation():
         ((1, 2, 3), (True,), "v (True,) is not a vector in Z^1"),
         ((1, 2, 3), (0, 0.5), "v (0, 0.5) is not a vector in Z^2"),
         ((1, 2, 3), "ab", "v 'ab' is not a vector in Z^2"),
+        # a v without a length once raised a TypeError from len
+        ((1, 2, 3), 7, "v 7 is not a vector in Z^1"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EquivParams(s=s, v=v)
