@@ -397,9 +397,9 @@ def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
     )
     charts = [toric.chart_of(space, bundle, ci) for ci in indices]
 
-    params, sums = toric.draw_admissible(
-        bundle.rank, random.Random(args.seed),
-        lambda params: vertex.chart_sums(charts, bundle.rank, nmax, params),
+    (params,), (sums,) = toric.draw_admissible(
+        bundle.rank, random.Random(args.seed), 1,
+        lambda points: vertex.chart_sums(charts, bundle.rank, nmax, points),
     )
 
     symmetric = True

@@ -17,7 +17,12 @@ class ZeroWeightError(QuotDTError):
     """A character monomial evaluated to weight zero at the sampled parameters.
 
     The parameter point is inadmissible; callers are expected to resample.
+    point is its position among the points evaluated together, 0 for one.
     """
+
+    def __init__(self, message: str, point: int = 0):
+        super().__init__(message)
+        self.point = point
 
 
 class NonzeroFixedPartError(QuotDTError):

@@ -7,15 +7,17 @@ charts from the factors' simplices.  They also carry, per chart and per
 factor, the vertex used to linearize a line bundle twist, so split bundles
 can be built from twist tuples.  Invariants are assembled as the product
 over charts of the series 1 + sum_n c_n q^n of the chart sums c_n, which
-one vertex.chart_sums call per parameter point computes for all charts and
-all sizes n through nmax, with one weight table per chart.  The product
+one vertex.chart_sums call computes for every parameter point, every chart
+and every size n through nmax, in one pass over the fixed points.  The product
 is one int convolution (_product_over_charts): each chart's row is scaled
 by the lcm of its denominators, and each coefficient of the product takes
 one exact division by the product of those lcms, so a Fraction is built
 only for a coefficient that is not an integer.  count_fixed_points takes
 the same product of its counts.
-They are computed at several independently sampled parameter points, drawn
-by one loop (draw_admissible), which must agree exactly and be integers.
+They are computed at several independently sampled parameter points, which
+must agree exactly and be integers.  One loop (draw_admissible) draws all
+the points a caller needs and evaluates them together; a zero weight names
+one point, and only that point is drawn again.
 """
 
 from __future__ import annotations
@@ -181,29 +183,35 @@ def sample_params(rank: int, rng: random.Random) -> EquivParams:
     )
 
 
-def draw_admissible(rank: int, rng: random.Random, compute):
-    """Draw parameter points until compute succeeds; return the point and its value.
+def draw_admissible(rank: int, rng: random.Random, count: int, compute):
+    """Draw count parameter points and evaluate them together; return the points and values.
 
-    A ZeroWeightError means the point is inadmissible and another is drawn.
-    After MAX_SAMPLE_ATTEMPTS draws the error names the last failure.
+    compute takes the list of points and returns one value per point.  A
+    ZeroWeightError names one point inadmissible by its position (point);
+    that point alone is drawn again, and all are evaluated again.  After
+    MAX_SAMPLE_ATTEMPTS draws of one point the error names its last failure.
     """
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        params = sample_params(rank, rng)
+    points = [sample_params(rank, rng) for _ in range(count)]
+    draws = [1] * count
+    while True:
         try:
-            return params, compute(params)
+            return points, compute(points)
         except ZeroWeightError as exc:
-            last = exc
-    raise ZeroWeightError(
-        f"no admissible parameter point after {MAX_SAMPLE_ATTEMPTS} draws; the last failed at {last}"
-    )
+            if draws[exc.point] == MAX_SAMPLE_ATTEMPTS:
+                raise ZeroWeightError(
+                    f"no admissible parameter point after {MAX_SAMPLE_ATTEMPTS} draws; "
+                    f"the last failed at {exc}"
+                ) from None
+            points[exc.point] = sample_params(rank, rng)
+            draws[exc.point] += 1
 
 
 def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
-    """Run compute at `trials` admissible parameter points; results must agree."""
+    """Evaluate compute at `trials` admissible parameter points at once; results must agree."""
     if check_int(trials, "trials") < 2:
         raise ValueError("at least two independent samples are required")
     rng = random.Random(check_int(seed, "seed"))
-    results = [draw_admissible(rank, rng, compute)[1] for _ in range(trials)]
+    _, results = draw_admissible(rank, rng, trials, compute)
     first = results[0]
     for trial, other in enumerate(results[1:], start=1):
         if other == first:
@@ -246,11 +254,14 @@ def _product_over_charts(rows, nmax: int) -> tuple:
 
 
 def _series_values(
-    space: ToricSpace, bundle: SplitBundle, nmax: int, params: EquivParams
-) -> tuple[int | Fraction, ...]:
+    space: ToricSpace, bundle: SplitBundle, nmax: int, points
+) -> list[tuple[int | Fraction, ...]]:
+    """The series coefficients through q^nmax at each parameter point, from one chart_sums pass."""
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
-    rows = chart_sums(charts, bundle.rank, nmax, params)
-    return _product_over_charts(((1, *values) for values in zip(*rows)), nmax)
+    return [
+        _product_over_charts(((1, *values) for values in zip(*rows)), nmax)
+        for rows in chart_sums(charts, bundle.rank, nmax, points)
+    ]
 
 
 def dt_series(
@@ -259,7 +270,7 @@ def dt_series(
     """Generating series 1 + sum_n DT_n q^n through q^nmax, exact integers."""
     check_size(nmax, "nmax")
     values = _evaluate_at_samples(
-        bundle.rank, seed, trials, lambda p: _series_values(space, bundle, nmax, p)
+        bundle.rank, seed, trials, lambda points: _series_values(space, bundle, nmax, points)
     )
     series = Series(values)
     coeffs = series.integer_coeffs()
@@ -275,20 +286,23 @@ def c3_via_localization(space: ToricSpace, seed: int = 0, trials: int = 2) -> in
     prod_i (w_i - sigma) / prod_i w_i with sigma = w_1 + w_2 + w_3.
     """
 
-    def compute(params: EquivParams) -> Fraction:
-        total = Fraction(0)
-        for index, chart in enumerate(space.charts):
-            ws = [sum(map(mul, a, params.s)) for a in chart]
-            if any(w == 0 for w in ws):
-                raise ZeroWeightError(f"chart {index}: a tangent weight is zero")
-            sigma = sum(ws)
-            num = 1
-            den = 1
-            for w in ws:
-                num *= w - sigma
-                den *= w
-            total += Fraction(num, den)
-        return total
+    def compute(points) -> list[Fraction]:
+        values = []
+        for position, params in enumerate(points):
+            total = Fraction(0)
+            for index, chart in enumerate(space.charts):
+                ws = [sum(map(mul, a, params.s)) for a in chart]
+                if any(w == 0 for w in ws):
+                    raise ZeroWeightError(f"chart {index}: a tangent weight is zero", position)
+                sigma = sum(ws)
+                num = 1
+                den = 1
+                for w in ws:
+                    num *= w - sigma
+                    den *= w
+                total += Fraction(num, den)
+            values.append(total)
+        return values
 
     value = _evaluate_at_samples(0, seed, trials, compute)
     if value.denominator != 1:

@@ -49,23 +49,27 @@ tables, symmetry_defect and the naming of a zero weight read.
 euler_inverse(char, params) builds its own weight table, chart_weights: a
 dict for one chart and one parameter point that maps a code to
 x w1 + y w2 + z w3 plus color k's weight minus color j's, where
-w_i = a_i . s and color j weighs m_j . s + v_j.  _weigh adds codes to
-tables: it unpacks each code once and fills each table with one
-comprehension.  The inverse Euler class is then two products of table
-lookups.
+w_i = a_i . s and color j weighs m_j . s + v_j.  _weigh gives the weights
+of unpacked codes in one table with one comprehension.  The inverse Euler
+class is then two products of table lookups.
 
-chart_sums returns the chart sums for every size n up to nmax.  It builds
-one weight table per chart for all sizes, and loops over partitions on the
-outside and charts on the inside, so each formal character is built once
-for all charts and held in a one-entry memo.  Before it evaluates a size,
-it weighs that size's new codes into every table at once.  It takes the
-same two products as euler_inverse, collects each chart's terms
-top / bottom for the size as unreduced int pairs N / D, and adds them
-neighbour to neighbour in rounds over gcd(D1, D2), so the two operands of
-an addition are partial sums of about the same size and it builds one
-Fraction per chart and size, not one per term.  It never
-calls euler_inverse: both name a zero weight through _zero_weight, which
-builds the exponents of the first zero-weight monomial in formal order.
+chart_sums(charts, rank, nmax, points) returns the chart sums for every
+parameter point and every size n up to nmax in one pass over the fixed
+points.  A column is one (point, chart) pair.  It loops over partitions
+on the outside and charts on the inside, so each formal character is
+built once for all charts and held in a one-entry memo.  Before it
+evaluates a size, it unpacks that size's new codes once into one stack,
+code -> the tuple of its weights in every column, and a zero weight is
+caught there, before any product.  Each partition then reads each of its
+codes once from the stack, and every column's top and bottom are the
+products of one transposed column of those tuples: the same ints as
+euler_inverse's two products.  Each column's terms for the size are
+collected as unreduced int pairs N / D and added neighbour to neighbour
+in rounds over gcd(D1, D2), so the two operands of an addition are
+partial sums of about the same size and it builds one Fraction per
+column and size, not one per term.  It never calls euler_inverse: both
+name a zero weight through _zero_weight, which builds the exponents of
+the first zero-weight monomial in formal order.
 vertex_character and chart_contribution keep their process-lifetime caches.
 """
 
@@ -326,18 +330,18 @@ class _WeightTable(dict):
     """Code -> weight in one chart at one parameter point.
 
     tangent holds w1, w2 and w3, and offsets[pair] the weight of color k
-    minus that of color j (0 for the diagonal pair 0).  _weigh adds codes.
+    minus that of color j (0 for the diagonal pair 0).  _weigh gives the
+    weights of unpacked codes.
     """
 
     __slots__ = ("tangent", "offsets")
 
 
 def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
-    """The weight table of a chart at a parameter point, for euler_inverse.
+    """The weight table of a chart at a parameter point.
 
-    It starts empty; euler_inverse and chart_sums weigh the codes they
-    read through _weigh.  One table serves every character of the chart
-    at that point.
+    It starts empty: euler_inverse fills it with the codes it reads, and
+    chart_sums reads only its tangent and offsets, one table per column.
     """
     if chart.rank != params.rank:
         raise ValueError("parameter rank does not match chart rank")
@@ -349,27 +353,21 @@ def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
     return table
 
 
-def _weigh(tables, codes) -> None:
-    """Add the weight of each code to every table, unpacking each code once."""
-    digits = {code: _unpack(code) for code in codes}
-    for table in tables:
-        w1, w2, w3 = table.tangent
-        offsets = table.offsets
-        table.update({
-            code: x * w1 + y * w2 + z * w3 + offsets[pair]
-            for code, (pair, x, y, z) in digits.items()
-        })
+def _weigh(table: _WeightTable, digits) -> list[int]:
+    """The weight in table of each code, given unpacked as (pair, x, y, z)."""
+    w1, w2, w3 = table.tangent
+    offsets = table.offsets
+    return [x * w1 + y * w2 + z * w3 + offsets[pair] for pair, x, y, z in digits]
 
 
-def _zero_weight(char: ChartCharacter, table: _WeightTable) -> ZeroWeightError:
-    """The error for a zero weight of char in table, naming the first such monomial.
+def _zero_weight(char: ChartCharacter, zeros) -> str:
+    """The message naming the first monomial of char whose code is in zeros.
 
     The monomial is the first in formal order, by its exponent in Z^(3 + r);
     chart_terms is built only here.
     """
-    terms = char.formal[0]
-    exps = next(e for code, e in zip(terms, chart_terms(char)) if table[code] == 0)
-    return ZeroWeightError(f"monomial {exps} has weight zero")
+    exps = next(e for code, e in zip(char.formal[0], chart_terms(char)) if code in zeros)
+    return f"monomial {exps} has weight zero"
 
 
 def euler_inverse(char: ChartCharacter, params: EquivParams) -> Fraction:
@@ -384,83 +382,103 @@ def euler_inverse(char: ChartCharacter, params: EquivParams) -> Fraction:
         raise TypeError("euler_inverse takes a chart character from vertex_character")
     table = chart_weights(char.chart, params)
     terms, num, den = char.formal
-    _weigh((table,), terms)
+    table.update(zip(terms, _weigh(table, map(_unpack, terms))))
     weigh = table.__getitem__
     top = prod(map(weigh, num))
     bottom = prod(map(weigh, den))
     if top and bottom:
         return Fraction(top, bottom)
-    raise _zero_weight(char, table)
+    zeros = {code for code, w in table.items() if not w}
+    raise ZeroWeightError(_zero_weight(char, zeros))
 
 
-def _add(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    """n1 / d1 + n2 / d2 as an unreduced int pair over lcm(d1, d2)."""
-    g = gcd(d1, d2)
-    return n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2
+def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]]]:
+    """Per parameter point, per size n = 1..nmax, one row with each chart's sum of
+    inverse Euler classes.
 
+    Entry [p][n - 1] holds, chart by chart, the sum at points[p] over the
+    colored partitions of size n.  One pass over each size's partitions
+    serves every column, a (point, chart) pair, point-major.  For each
+    size, the partitions are the outer loop and the charts the inner one,
+    so each formal character is built once for all charts.  The size's
+    codes that the stack does not hold yet are unpacked once and added to
+    it: the stack maps a code to the tuple of its weights in every column.
+    A zero among them is caught there, before any product.
 
-def chart_sums(charts, rank: int, nmax: int, params: EquivParams) -> list[list[Fraction]]:
-    """Per size n = 1..nmax, one row with each chart's sum of inverse Euler classes.
-
-    Row n - 1 holds, chart by chart, the sum over the colored partitions of
-    size n.  Each chart's weight table is built once for all sizes.  For
-    each size, the partitions are the outer loop and the charts the inner
-    one, so each formal character is built once for all charts.  The
-    size's codes that no table holds yet are then unpacked once and
-    weighed into every table (_weigh) before any term is evaluated.
-
-    A term is two int products of table lookups, top / bottom, as in
-    euler_inverse, but no Fraction is built per term.  Each chart collects
-    its terms for the size as unreduced int pairs (N, D), then adds them
-    neighbour to neighbour in rounds over gcd(D1, D2), so the operands of
-    an addition grow together, and builds one Fraction from the last
-    pair.  A zero product raises the ZeroWeightError of
-    _zero_weight, as in euler_inverse, prefixed with the failing chart's
-    position in charts and n.
+    A term is, in every column at once, two int products of the stack
+    entries of its codes, top / bottom, as in euler_inverse, but no
+    Fraction is built per term.  Each column collects its terms for the
+    size as unreduced int pairs (N, D), then adds them neighbour to
+    neighbour in rounds over gcd(D1, D2), so the operands of an addition
+    grow together, and builds one Fraction from the last pair.  A zero
+    weight raises a ZeroWeightError whose point is the first point that
+    has one; its message names the first partition with a zero weight
+    there, its first such chart by position in charts, n and, through
+    _zero_weight as in euler_inverse, the first zero monomial.
     """
     check_size(nmax, "nmax")
-    charts = list(charts)  # read three times below, so a one-shot iterable is taken once
+    charts = list(charts)  # read several times below, so a one-shot iterable is taken once
     if any(chart.rank != rank for chart in charts):
         raise ValueError("rank does not match chart data")
-    tables = [chart_weights(chart, params) for chart in charts]
-    rows = []
+    points = list(points)
+    width = len(charts)
+    columns = [chart_weights(chart, params) for params in points for chart in charts]
+    if not columns:
+        return [[[] for _ in range(nmax)] for _ in points]
+    # for a term with no codes zip(*map(get, num)) would yield no column at
+    # all; a leading ones tuple keeps one product per column, 1 there as in
+    # euler_inverse
+    ones = (1,) * len(columns)
+    stack: dict[int, tuple[int, ...]] = {}
+    get = stack.__getitem__
+    sums = [[] for _ in points]
     for n in range(1, nmax + 1):
         # the characters of each partition, one per chart
         characters = [
             [vertex_character(cpp, chart) for chart in charts]
             for cpp in enum_colored(n, rank)
         ]
-        if tables:
-            codes = set().union(*(chars[0].formal[0] for chars in characters))
-            _weigh(tables, codes.difference(tables[0]))
-        terms = [[] for _ in tables]
+        codes = list(set().union(*(chars[0].formal[0] for chars in characters)).difference(stack))
+        digits = list(map(_unpack, codes))
+        weights = [_weigh(column, digits) for column in columns]
+        if any(0 in column for column in weights):
+            # every new code belongs to a partition of this size, so one fails
+            point = next(col for col, column in enumerate(weights) if 0 in column) // width
+            zeros = [{code for code, w in zip(codes, column) if not w}
+                     for column in weights[point * width:(point + 1) * width]]
+            i, char = next((i, char) for chars in characters for i, char in enumerate(chars)
+                           if not zeros[i].isdisjoint(char.formal[0]))
+            raise ZeroWeightError(f"chart {i}, n={n}: {_zero_weight(char, zeros[i])}", point)
+        stack.update(zip(codes, zip(*weights)))
+        tops = []
+        bottoms = []
         for chars in characters:
-            for i, char in enumerate(chars):
-                table = tables[i]
-                _, num, den = char.formal
-                weigh = table.__getitem__
-                top = prod(map(weigh, num))
-                bottom = prod(map(weigh, den))
-                if not (top and bottom):
-                    raise ZeroWeightError(f"chart {i}, n={n}: {_zero_weight(char, table)}")
-                terms[i].append((top, bottom))
+            _, num, den = chars[0].formal
+            tops.append(tuple(map(prod, zip(ones, *map(get, num)))))
+            bottoms.append(tuple(map(prod, zip(ones, *map(get, den)))))
         row = []
-        for pairs in terms:
+        for col_tops, col_bottoms in zip(zip(*tops), zip(*bottoms)):
+            pairs = list(zip(col_tops, col_bottoms))
             while len(pairs) > 1:
-                # add neighbours; an odd last pair waits for the next round
+                # add neighbours over lcm(d1, d2); an odd last pair waits for the next round
                 odd = pairs[len(pairs) & ~1:]
-                pairs = [_add(*a, *b) for a, b in zip(pairs[::2], pairs[1::2])] + odd
+                pairs = [
+                    (n1 * (d2 // (g := gcd(d1, d2))) + n2 * (d1 // g), d1 // g * d2)
+                    for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2])
+                ] + odd
             row.append(Fraction(*pairs[0]))
-        rows.append(row)
-    return rows
+        for p, point_sums in enumerate(sums):
+            point_sums.append(row[p * width:(p + 1) * width])
+    return sums
 
 
 @lru_cache(maxsize=None)
 def chart_contribution(chart: ChartWeights, rank: int, n: int, params: EquivParams) -> Fraction:
     """Sum of inverse Euler classes over all colored plane partitions of size n.
 
-    A view of chart_sums; 1 at n = 0, the empty partition.  Its lru_cache
-    stays while perfbench/tracer.py wraps it by name.
+    A one-point, one-chart view of chart_sums; 1 at n = 0, the empty
+    partition.  Its lru_cache stays while perfbench/tracer.py wraps it by
+    name.
     """
-    rows = chart_sums((chart,), rank, n, params)
-    return rows[n - 1][0] if n else Fraction(1)
+    sums = chart_sums((chart,), rank, n, (params,))[0]
+    return sums[n - 1][0] if n else Fraction(1)

@@ -176,7 +176,7 @@ def test_rank_reduction_per_chart(name, twists, nmax):
     series = []
     for bundle, point in zip(bundles, points):
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
-        rows = vertex.chart_sums(charts, bundle.rank, nmax, point)
+        (rows,) = vertex.chart_sums(charts, bundle.rank, nmax, [point])
         series.append([Series((1, *column)) for column in zip(*rows)])
     r = bundles[0].rank
     for ci, (z_r, z_1) in enumerate(zip(*series)):
@@ -253,7 +253,7 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
     params = EquivParams((1, 2, 3), (0,))
     calls = {
         "nmax": [lambda n: dt_series(p3, trivial_bundle(p3), n),
-                 lambda n: vertex.chart_sums([chart_of(p3, trivial_bundle(p3), 0)], 1, n, params),
+                 lambda n: vertex.chart_sums([chart_of(p3, trivial_bundle(p3), 0)], 1, n, [params]),
                  lambda n: count_fixed_points(p3, 1, n)],
         "order": [macmahon, lambda n: dt_closed_formula(1, -20, n)],
         "size": [lambda n: enum_colored(n, 1)],
@@ -417,7 +417,8 @@ def test_integer_assembly_equals_the_series_product(data):
 def test_non_integral_series_names_its_coefficient(monkeypatch):
     # four charts whose q^1 sums are 1/8 give the non-integral 1/2
     p3 = builtin_space("p3")
-    monkeypatch.setattr(toric, "chart_sums", lambda charts, *args: [[Fraction(1, 8)] * len(charts)])
+    monkeypatch.setattr(toric, "chart_sums", lambda charts, rank, nmax, points:
+                        [[[Fraction(1, 8)] * len(charts)] for _ in points])
     with pytest.raises(NonIntegralError) as info:
         dt_series(p3, trivial_bundle(p3), 1)
     assert str(info.value) == "coefficient of q^1 is 1/2"
@@ -444,7 +445,7 @@ def test_series_values_match_composition_sum(name, twists, nmax):
                     prod *= chart_contribution(chart, bundle.rank, m, params)
             total += prod
         want.append(total)
-    assert _series_values(space, bundle, nmax, params) == tuple(want)
+    assert _series_values(space, bundle, nmax, [params]) == [tuple(want)]
 
 
 def test_count_fixed_points_independent_recount():
@@ -483,7 +484,8 @@ def test_negative_nmax_rejected():
 def test_parameter_dependence_names_first_differing_coefficient(monkeypatch):
     p3 = builtin_space("p3")
     samples = iter([(1, 20, 150, 400), (1, 20, Fraction(301, 2), 401)])
-    monkeypatch.setattr(toric, "_series_values", lambda *args: next(samples))
+    monkeypatch.setattr(toric, "_series_values",
+                        lambda space, bundle, nmax, points: [next(samples) for _ in points])
     with pytest.raises(ParameterDependenceError) as info:
         dt_series(p3, trivial_bundle(p3), 3)
     message = str(info.value)
@@ -494,7 +496,7 @@ def test_parameter_dependence_names_first_differing_coefficient(monkeypatch):
 def test_parameter_dependence_names_scalar_values():
     values = iter([Fraction(-20), Fraction(-18), Fraction(-20)])
     with pytest.raises(ParameterDependenceError, match=r"samples 0 and 1 disagree: -20 vs -18$"):
-        toric._evaluate_at_samples(0, 0, 3, lambda params: next(values))
+        toric._evaluate_at_samples(0, 0, 3, lambda points: [next(values) for _ in points])
 
 
 def test_toric_path_builds_each_character_once():
@@ -504,8 +506,10 @@ def test_toric_path_builds_each_character_once():
     bundle = trivial_bundle(p3)
     vertex_character.cache_clear()
     _formal_character.cache_clear()
-    dt_series(p3, bundle, 3)
+    dt_series(p3, bundle, 3, trials=3)
+    # one pass serves every sample, so no call of the later samples hits the cache
     assert vertex_character.cache_info().misses == 4 * (1 + 3 + 6)
+    assert vertex_character.cache_info().hits == 0
     assert _formal_character.cache_info().misses == 1 + 3 + 6
     assert _formal_character.cache_info().currsize <= 1
     for ci in range(4):
@@ -516,8 +520,9 @@ def test_toric_path_builds_each_character_once():
 
 
 def test_toric_path_builds_one_weight_table_per_chart_and_sample(monkeypatch):
-    # chart_sums shares each chart's table across every size n, so a run
-    # builds charts x samples tables, whatever nmax is
+    # chart_sums builds one weight table per (point, chart) column and uses
+    # it for every size n, so a run builds charts x samples tables, whatever
+    # nmax is
     built = []
     draws = []
     chart_weights = vertex.chart_weights
@@ -552,6 +557,68 @@ def test_process_caches_are_exactly_the_traced_ones():
         "vertex.chart_contribution",
         "vertex.vertex_character",
     ]
+
+
+def test_an_inadmissible_draw_is_drawn_again_alone(monkeypatch):
+    # only the second draw has s1 + s2 = 0, a zero tangent weight of p3's
+    # chart 0: that point alone is drawn again, and the series is unchanged
+    p3 = builtin_space("p3")
+    bundle = trivial_bundle(p3)
+    want = dt_series(p3, bundle, 3, seed=11, trials=3)
+    draws = []
+    real = toric.sample_params
+
+    def draw(rank, rng):
+        params = real(rank, rng)
+        draws.append(params)
+        return EquivParams((1, -1, 5), (3,)) if len(draws) == 2 else params
+
+    monkeypatch.setattr(toric, "sample_params", draw)
+    evaluated = []
+    series_values = toric._series_values
+    monkeypatch.setattr(toric, "_series_values",
+                        lambda *a: evaluated.append(list(a[3])) or series_values(*a))
+    assert dt_series(p3, bundle, 3, seed=11, trials=3) == want
+    assert len(draws) == 3 + 1
+    zero = EquivParams((1, -1, 5), (3,))
+    assert evaluated == [[draws[0], zero, draws[2]], [draws[0], draws[3], draws[2]]]
+
+
+def test_draw_admissible_redraws_only_the_named_point():
+    # with no inadmissible draw the points are the first draws in order;
+    # a point named 32 times ends the draws with its last failure
+    rng = random.Random(4)
+    points, values = toric.draw_admissible(2, rng, 3, lambda points: [p.s for p in points])
+    again = random.Random(4)
+    assert points == [sample_params(2, again) for _ in range(3)]
+    assert values == [p.s for p in points]
+
+    failures = []
+
+    def compute(points):
+        failures.append(list(points))
+        raise ZeroWeightError(f"attempt {len(failures)}", 1)
+
+    with pytest.raises(ZeroWeightError) as info:
+        toric.draw_admissible(1, random.Random(4), 2, compute)
+    assert str(info.value) == "no admissible parameter point after 32 draws; the last failed at attempt 32"
+    assert len(failures) == 32
+    assert all(points[0] == failures[0][0] for points in failures)
+    assert len({points[1] for points in failures}) == 32
+
+
+def test_c3_names_the_inadmissible_point(monkeypatch):
+    # the second draw makes a tangent weight of chart 0 zero; c3 draws it again
+    draws = []
+    real = toric.sample_params
+
+    def draw(rank, rng):
+        draws.append(real(rank, rng))
+        return EquivParams((0, 1, 2), ()) if len(draws) == 2 else draws[-1]
+
+    monkeypatch.setattr(toric, "sample_params", draw)
+    assert c3_via_localization(builtin_space("p3")) == -20
+    assert len(draws) == 3
 
 
 def test_exhausted_draws_name_chart_size_and_monomial(monkeypatch):

@@ -9,8 +9,9 @@ LaurentPoly products (tests/laurent.py), which share no code with the engine, al
 calls alternate between partitions and charts and on random unimodular
 charts, and euler_inverse's scalar weights against the exponent-dict loop
 _reference_euler.  The partition-outer chart_sums is checked against
-chart-by-chart sums, and its weight tables against the codes of its
-characters, each unpacked once per call.  At a Calabi-Yau parameter point
+chart-by-chart sums, its joint pass over several points against one pass
+per point, and its weights against the codes of its characters, each
+unpacked once per call.  At a Calabi-Yau parameter point
 every single term is checked against its known sign.
 """
 
@@ -411,29 +412,93 @@ def test_chart_sums_match_chart_by_chart_sums(name):
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
         params = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[: bundle.rank])
         want = _per_term_rows(charts, bundle.rank, nmax, params)
-        assert chart_sums(charts, bundle.rank, nmax, params) == want
-        assert chart_sums(charts, bundle.rank, 0, params) == []
+        assert chart_sums(charts, bundle.rank, nmax, [params]) == [want]
+        assert chart_sums(charts, bundle.rank, 0, [params]) == [[]]
+
+
+@pytest.mark.parametrize("name, twists", [
+    ("p3", (0, 1)),
+    ("p2xp1", ((0, 0), (1, -1))),
+    ("p1cubed", ((0, 0, 0), (1, 0, 2), (0, -1, 1))),
+])
+def test_joint_pass_equals_one_pass_per_point(name, twists):
+    # one pass over the fixed points serves every (point, chart) column,
+    # and each point's rows are those of a pass at that point alone
+    space = builtin_space(name)
+    bundle = split_bundle(space, twists)
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    r = bundle.rank
+    p = EquivParams(s=(7, 19, 53), v=(101, 331, 1013)[:r])
+    q = EquivParams(s=(-29, 5, 211), v=(17, -443, 89)[:r])
+    nmax = 3 if r < 3 else 2
+    joint = chart_sums(charts, r, nmax, [p, q])
+    assert joint == [chart_sums(charts, r, nmax, [p])[0], chart_sums(charts, r, nmax, [q])[0]]
+    assert joint[0] != joint[1]
+    assert joint[0] == _per_term_rows(charts, r, nmax, p)
+    assert chart_sums(charts, r, nmax, []) == []
 
 
 def test_chart_sums_take_a_one_shot_iterable_of_charts():
     space = builtin_space("p3")
     charts = [chart_of(space, trivial_bundle(space), ci) for ci in range(space.num_charts)]
     params = EquivParams(s=(7, 19, 53), v=(101,))
-    want = chart_sums(charts, 1, 2, params)
-    assert [len(row) for row in want] == [4, 4]
-    assert chart_sums(iter(charts), 1, 2, params) == want
-    assert chart_sums((chart for chart in charts), 1, 2, params) == want
+    want = chart_sums(charts, 1, 2, [params])
+    assert [len(row) for row in want[0]] == [4, 4]
+    assert chart_sums(iter(charts), 1, 2, [params]) == want
+    assert chart_sums((chart for chart in charts), 1, 2, iter([params])) == want
 
 
 def test_chart_sums_names_chart_and_size_of_a_zero_weight():
     charts = [std_chart(), ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))]
     # s1 + s2 = 0 kills the monomial t1^-1 t2^-1 of the first chart only
-    with pytest.raises(ZeroWeightError, match=r"^chart 0, n=1: monomial \(-1, -1, 0, 0\)"):
-        chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
+    zero = EquivParams(s=(1, -1, 5), v=(3,))
+    with pytest.raises(ZeroWeightError, match=r"^chart 0, n=1: monomial \(-1, -1, 0, 0\)") as got:
+        chart_sums(charts, 1, 1, [zero])
+    assert got.value.point == 0
+    # among points evaluated together, the error says which one failed
+    with pytest.raises(ZeroWeightError) as joint:
+        chart_sums(charts, 1, 1, [EquivParams(s=(7, 19, 53), v=(101,)), zero])
+    assert (joint.value.point, str(joint.value)) == (1, str(got.value))
+
+
+def _first_zero_by_euler_inverse(charts, rank, nmax, params) -> str:
+    """The message of the first zero weight of a point-by-point euler_inverse walk."""
+    for n in range(1, nmax + 1):
+        for cpp in enum_colored(n, rank):
+            for i, chart in enumerate(charts):
+                try:
+                    euler_inverse(vertex_character(cpp, chart), params)
+                except ZeroWeightError as exc:
+                    return f"chart {i}, n={n}: {exc}"
+    raise AssertionError("no zero weight")
+
+
+def test_zero_weight_of_a_monomial_new_at_size_two():
+    # a point where every monomial of size 1 weighs nonzero, and one that
+    # first appears at size 2 weighs zero in the second chart
+    space = builtin_space("p3")
+    bundle = trivial_bundle(space)
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    size_one = [set(chart_terms(vertex_character(cpp, chart)))
+                for chart in charts for cpp in enum_colored(1, 1)]
+    new = next(e for cpp in enum_colored(2, 1)
+               for e in chart_terms(vertex_character(cpp, charts[1])) if e not in size_one[1])
+    weight = lambda e, s: sum(map(mul, e, s + (11,)))
+    s = next(s for s in ((a, b, c) for a in range(1, 30) for b in range(-30, 30) for c in range(-30, 30))
+             if weight(new, s) == 0 and all(weight(e, s) for e in set().union(*size_one)))
+    zero = EquivParams(s, (11,))
+    assert chart_sums(charts, 1, 1, [zero])
+    want = _first_zero_by_euler_inverse(charts, 1, 2, zero)
+    assert want.startswith("chart ") and ", n=2: monomial " in want
+    good = EquivParams(s=(7, 19, 53), v=(101,))
+    for points, point in (([zero], 0), ([good, zero], 1), ([zero, good], 0)):
+        with pytest.raises(ZeroWeightError) as got:
+            chart_sums(charts, 1, 2, points)
+        assert (got.value.point, str(got.value)) == (point, want)
 
 
 def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
-    # terms are summed as int pairs, and a zero product is named by the
+    # terms are summed as int pairs, and a zero weight is named by the
     # helper euler_inverse uses too, so chart_sums never calls it.  This
     # module's euler_inverse stays the real one and gives the reference rows.
     calls = []
@@ -443,47 +508,65 @@ def test_chart_sums_call_euler_inverse_only_to_name_a_zero_weight(monkeypatch):
         charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
         params = EquivParams(s=(7, 19, 53), v=(101, 331)[: bundle.rank])
         want = _per_term_rows(charts, bundle.rank, 4, params)
-        assert chart_sums(charts, bundle.rank, 4, params) == want
+        assert chart_sums(charts, bundle.rank, 4, [params]) == [want]
     assert calls == []
 
     # the running denominators share factors with the terms' denominators
     divisors = []
     real_gcd = vertex.gcd
     monkeypatch.setattr(vertex, "gcd", lambda *a: divisors.append(real_gcd(*a)) or divisors[-1])
-    chart_sums(charts, bundle.rank, 4, params)
+    chart_sums(charts, bundle.rank, 4, [params])
     assert max(divisors) > 1
 
     charts = [std_chart(), ChartWeights(((-1, 0, 0), (-1, 1, 0), (-1, 0, 1)), ((0, 0, 0),))]
     with pytest.raises(ZeroWeightError) as got:
-        chart_sums(charts, 1, 1, EquivParams(s=(1, -1, 5), v=(3,)))
+        chart_sums(charts, 1, 1, [EquivParams(s=(1, -1, 5), v=(3,))])
     assert str(got.value) == "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"
     assert calls == []
 
 
 def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes(monkeypatch):
+    # each code is unpacked once per call however many points share it, and
+    # every column, one per (point, chart), weighs exactly the characters' codes
     unpacked = []
-    tables = []
-    unpack, weights = vertex._unpack, vertex.chart_weights
+    columns = []
+    weighed = []
+    unpack, weights, weigh = vertex._unpack, vertex.chart_weights, vertex._weigh
     monkeypatch.setattr(vertex, "_unpack", lambda code: unpacked.append(code) or unpack(code))
     monkeypatch.setattr(vertex, "chart_weights",
-                        lambda *a: tables.append((a[0], weights(*a))) or tables[-1][1])
+                        lambda *a: columns.append((a, weights(*a))) or columns[-1][1])
+    monkeypatch.setattr(vertex, "_weigh",
+                        lambda table, digits: weighed.append((table, digits)) or weigh(table, digits))
     space = builtin_space("p2xp1")
     bundle = split_bundle(space, TWISTS["p2xp1"][1])
     charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
-    params = EquivParams(s=(7, 19, 53), v=(101, 331))
     nmax = 3
-    chart_sums(charts, bundle.rank, nmax, params)
-    codes = set(unpacked)
-    assert len(unpacked) == len(codes)
-    assert [chart for chart, _ in tables] == charts
-    values = params.s + params.v
-    for chart, table in tables:
-        chars = [vertex_character(cpp, chart)
-                 for n in range(1, nmax + 1) for cpp in enum_colored(n, bundle.rank)]
-        assert table.keys() == set().union(*(char.formal[0] for char in chars)) == codes
-        for char in chars:
-            for code, exps in zip(char.formal[0], chart_terms(char)):
-                assert table[code] == sum(map(mul, exps, values))
+    all_points = [EquivParams(s=(7, 19, 53), v=(101, 331)), EquivParams(s=(-3, 43, 2), v=(5, -71)),
+                  EquivParams(s=(1009, -2713, 4441), v=(7919, -104729))]
+    for count in (1, 2, 3):
+        points = all_points[:count]
+        for calls in (unpacked, columns, weighed):
+            calls.clear()
+        chart_sums(charts, bundle.rank, nmax, points)
+        codes = set(unpacked)
+        assert len(unpacked) == len(codes)
+        assert [a for a, _ in columns] == [(chart, params) for params in points for chart in charts]
+        # one _weigh per column and size, in column order, on that size's new codes
+        assert len(weighed) == len(columns) * nmax
+        assert all(table is columns[i % len(columns)][1] for i, (table, _) in enumerate(weighed))
+        weighed_codes = {}
+        for i, (table, digits) in enumerate(weighed):
+            weighed_codes.setdefault(i % len(columns), {}).update(
+                zip((_pack(*d) for d in digits), weigh(table, digits)))
+        for i, ((chart, params), _) in enumerate(columns):
+            table = weighed_codes[i]
+            chars = [vertex_character(cpp, chart)
+                     for n in range(1, nmax + 1) for cpp in enum_colored(n, bundle.rank)]
+            assert table.keys() == set().union(*(char.formal[0] for char in chars)) == codes
+            values = params.s + params.v
+            for char in chars:
+                for code, exps in zip(char.formal[0], chart_terms(char)):
+                    assert table[code] == sum(map(mul, exps, values))
 
 
 def test_euler_inverse_weighs_the_characters_codes_into_its_own_table(monkeypatch):
@@ -603,10 +686,10 @@ def test_chart_sums_equal_sums_of_euler_inverse(chart, data):
                          tuple(data.draw(st.lists(small, min_size=r, max_size=r))))
     nmax = data.draw(st.integers(1, 3))
     try:
-        rows = chart_sums((chart,), r, nmax, params)
+        sums = chart_sums((chart,), r, nmax, [params])
     except ZeroWeightError:
         assume(False)
-    assert rows == _per_term_rows((chart,), r, nmax, params)
+    assert sums == [_per_term_rows((chart,), r, nmax, params)]
 
 
 def cy_params(chart: ChartWeights, data) -> EquivParams:
