@@ -4,8 +4,9 @@ Every failure mode that the math can produce has its own class so callers
 (and the CLI exit-code mapping) can react precisely.  Bad input is a
 ValueError, raised where it enters by one of the checks at the end, which
 every entry point and constructor calls.  check_vector is the one check of
-a lattice vector: tangent and bundle characters, twist vertices, torus
-parameters and the boxes of plane partitions all enter through it.
+a lattice vector: tangent and bundle characters, twist vertices, the
+twists of split bundles, torus parameters and the boxes of plane partitions
+all enter through it.
 """
 
 
@@ -81,14 +82,13 @@ def read_twists(twists, entries: int, owner: str) -> tuple[tuple[int, ...], ...]
     """One tuple of integer degrees per summand, `entries` degrees each.
 
     A twist is an int, read as one degree, or a tuple or list of degrees,
-    one per polytope factor or ring generator of owner.
+    one per polytope factor or ring generator of owner; each is checked as
+    a vector in Z^entries named `<owner> twist`.
     """
-    out = []
-    for twist in twists:
-        twist = tuple(twist) if isinstance(twist, (tuple, list)) else (twist,)
-        if len(twist) != entries:
-            raise ValueError(f"twist {twist} needs {entries} entries for {owner}")
-        out.append(tuple(check_int(d, "twist degree") for d in twist))
+    out = tuple(
+        check_vector(t if isinstance(t, (tuple, list)) else (t,), entries, f"{owner} twist")
+        for t in twists
+    )
     if not out:
         raise ValueError("at least one summand is required")
-    return tuple(out)
+    return out

@@ -83,10 +83,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def _subdiagrams(shape: Partition) -> Iterator[Partition]:
-    """Young diagrams contained in shape, including the empty one."""
-    if not shape:
-        yield ()
-        return
+    """Young diagrams contained in the nonempty shape, including the empty one."""
 
     def gen(row: int, cap: int) -> Iterator[Partition]:
         if row == len(shape):

@@ -15,6 +15,8 @@ The closed forms each take one O(N^2) pass:
   At p = -1 this is the inverse recurrence.  A series with integer
   coefficients and a_0 = +-1 has integer powers, so it runs in ints with
   checked divisions; any other runs in Fractions.
+- A rational power p of a series with a_0 = 1 follows from the same
+  recurrence in Fractions, with b_0 = 1 set exactly.
 
 Each makes about N^2/2 products, whatever the power.
 """
@@ -74,17 +76,7 @@ class Series:
         if self.order != other.order:
             raise ValueError("series have different truncation orders")
 
-    def __add__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series(c * other for c in self.coeffs)
+    def __mul__(self, other: "Series") -> "Series":
         self._check(other)
         n = self.order
         out = [Fraction(0)] * (n + 1)
@@ -99,9 +91,11 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Series":
+    def __pow__(self, exponent: int | Fraction) -> "Series":
+        if isinstance(exponent, Fraction) and self.coeffs[0] == 1:
+            return Series(_power(self.coeffs, exponent))
         if not isinstance(exponent, int):
-            raise TypeError("series powers must be integers")
+            raise TypeError("series powers must be integers, or Fractions when a_0 = 1")
         order = self.order
         if exponent == 0:
             return Series.one(order)
@@ -140,16 +134,20 @@ def _divide_exact(num: int, den: int, n: int) -> int:
     return quotient
 
 
-def _power(a: tuple[Fraction, ...], p: int) -> tuple:
-    """Coefficients of a^p through the order of a, by Miller's recurrence; a[0] != 0."""
+def _power(a: tuple[Fraction, ...], p: int | Fraction) -> tuple:
+    """Coefficients of a^p through the order of a, by Miller's recurrence.
+
+    a[0] != 0 for an int p, and a[0] = 1 for a Fraction p.
+    """
     # Powers of MacMahon's series take this branch: int products skip the gcd
     # that every Fraction product pays, about 20x less work at order 60.
-    if a[0] in (1, -1) and all(c.denominator == 1 for c in a):
+    if isinstance(p, int) and a[0] in (1, -1) and all(c.denominator == 1 for c in a):
         a = tuple(c.numerator for c in a)
         b = [a[0] ** abs(p)]  # a_0 = 1 / a_0
         divide = _divide_exact
     else:
-        b = [a[0] ** p]
+        # Fraction ** Fraction is a float, so 1 ** p is written out
+        b = [a[0] ** p if isinstance(p, int) else Fraction(1)]
         divide = lambda num, den, _n: num / den
     a0 = a[0]
     for n in range(1, len(a)):
@@ -158,7 +156,7 @@ def _power(a: tuple[Fraction, ...], p: int) -> tuple:
     return tuple(b)
 
 
-def series_pow(s: Series, exponent: int) -> Series:
+def series_pow(s: Series, exponent: int | Fraction) -> Series:
     return s ** exponent
 
 

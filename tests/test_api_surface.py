@@ -6,8 +6,12 @@ reads it; otherwise it must be on ALLOWED, with the reason it stays.  The
 package refers to a function or class by a name, an attribute or a string
 (`_EXPORTS` lists names as strings), and to a method only by an attribute.
 Members are matched by name alone, so any attribute of the same name counts
-(`args.power` in the CLI would hide a method `power`).  Dunder methods are
-exempt: Python calls them.
+(`args.power` in the CLI would hide a method `power`).  Protocol dunders
+(`__init__`, `__eq__`, `__hash__`, `__repr__`, ...) are exempt: Python calls
+them.  Operator dunders (`__add__`, `__mul__`, `__neg__`, `__lt__`, ...) are
+not: an operator that no expression applies is dead code that the names
+cannot reveal, so each, also one bound by assignment (`__rmul__ = __mul__`),
+must be on ALLOWED with the reason it stays.
 """
 
 import ast
@@ -21,22 +25,41 @@ PACKAGE = ROOT / "src" / "quotdt"
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a bad flag",
     "vertex._pack": "the code layout written out; tests check _unpack and _box_codes against it",
+    "series.Series.__mul__": "Series x Series, the reference that tests hold the integer assembly to",
+    "series.Series.__rmul__": "a number on the left is refused by _check, as one on the right",
+    "series.Series.__pow__": "series_pow and dt_closed_formula raise series to powers",
 }
 
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "xor", "or")
+OPERATORS = {f"__{prefix}{name}__" for name in _BINARY for prefix in ("", "r", "i")} | {
+    "__neg__", "__pos__", "__abs__", "__invert__", "__lt__", "__le__", "__gt__", "__ge__"}
 
-def _dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
+
+def _exempt(name: str) -> bool:
+    """A protocol dunder, which Python calls; operator dunders are not exempt."""
+    return name.startswith("__") and name.endswith("__") and name not in OPERATORS
+
+
+def _class_members(node: ast.ClassDef):
+    """The names of a class's methods, and of the operators it binds by assignment."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif isinstance(item, ast.Assign):
+            yield from (t.id for t in item.targets
+                        if isinstance(t, ast.Name) and t.id in OPERATORS)
 
 
 def _members(tree: ast.Module, module: str):
     """(qualified name, name, is a method) for each top-level def and class and their methods."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _dunder(node.name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _exempt(node.name):
             yield f"{module}.{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
-                        yield f"{module}.{node.name}.{item.name}", item.name, True
+                for name in _class_members(node):
+                    if not _exempt(name):
+                        yield f"{module}.{node.name}.{name}", name, True
 
 
 def _references(tree: ast.Module, names: set, attributes: set) -> None:

@@ -144,6 +144,13 @@ def test_rings_are_complete_on_construction():
     assert bare.tangent_total == bare.one()
 
 
+def test_a_non_integral_chern_number_is_an_invariant_failure():
+    # c(T) = 1 + h^3 makes c3_t_omega the integral of h^3, given as 1/2
+    ring = C.ChernRing("half", ("h",), {(3,): Fraction(1, 2)}, [{(0,): 1, (3,): 1}])
+    with pytest.raises(RuntimeError, match=r"^c3_t_omega of half is not an integer: 1/2$"):
+        C.c3_t_omega(ring)
+
+
 @pytest.mark.parametrize("gens, key", [
     (("h",), (2,)), (("h",), (4,)), (("h",), (3, 0)), (("h",), 3), (("h",), (3.0,)),
     (("h", "e"), (4, -1)), (("a", "b", "c"), (True, True, True)),
@@ -229,8 +236,10 @@ def test_builders_refuse_non_integers():
     cases = [
         (lambda: C.projective_bundle_ring(1.5), "twist 1.5 is not an integer"),
         (lambda: C.ring_of_projective_product((2.5, 1)), "factor dimension 2.5 is not an integer"),
-        (lambda: C.split_bundle_class(ring, [(1, 0.5)]), "twist degree 0.5 is not an integer"),
-        (lambda: C.split_bundle_class(C.named_ring("p3"), [1.5]), "twist degree 1.5 is not an integer"),
+        (lambda: C.split_bundle_class(ring, [(1, 0.5)]),
+         "p2xp1 twist (1, 0.5) is not a vector in Z^2"),
+        (lambda: C.split_bundle_class(C.named_ring("p3"), [1.5]),
+         "p3 twist (1.5,) is not a vector in Z^1"),
         (lambda: C.BundleClass(ring, 2.0, ()), "rank 2.0 is not an integer"),
     ]
     for build, message in cases:
@@ -336,7 +345,7 @@ def test_split_bundle_class_builds_linear_roots():
     p3 = C.ring_of_projective_product((3,))
     o2 = (p3.scale(p3.gen("h1"), 2),)
     assert C.split_bundle_class(p3, [2]).roots == C.split_bundle_class(p3, [(2,)]).roots == o2
-    with pytest.raises(ValueError, match=r"^twist \(1,\) needs 2 entries for p2xp1$"):
+    with pytest.raises(ValueError, match=r"^p2xp1 twist \(1,\) is not a vector in Z\^2$"):
         C.split_bundle_class(ring, [1])
     with pytest.raises(ValueError, match="at least one summand is required"):
         C.split_bundle_class(ring, [])

@@ -69,6 +69,14 @@ def test_table_format(capsys):
     assert "verdicts.series_matches_closed_formula = MATCH" in out
 
 
+def test_table_format_writes_a_list_of_records_as_json(capsys):
+    code, out, _ = run(capsys, "cobordism", "--space", "prod:3", "--bundle", "O2", "--rank", "1",
+                       "--format", "table")
+    assert code == 0
+    pairs = next(line for line in out.splitlines() if line.startswith("values.pairs = "))
+    assert pairs.startswith('values.pairs = [{"lam": [3], "mu": []}, {"lam": [3], "mu": [3]}, ')
+
+
 def test_config_file_equivalence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# p3 baseline\nspace=p3\nbundle=O\nnmax=1\nseed=11\n")
@@ -84,6 +92,15 @@ def test_flags_override_config(tmp_path, capsys):
     cfg.write_text("space=p3\nbundle=O\nnmax=2\n")
     report = run_json(capsys, "toric", "--config", str(cfg), "--nmax", "1")
     assert report["inputs"]["nmax"] == 1
+
+
+def test_a_flag_overrides_a_config_boolean(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nmax = 3\npower = -20\nnegate-q = no\n")
+    negated = run(capsys, "macmahon", "--nmax", "3", "--power", "-20", "--negate-q")
+    assert negated[0] == 0
+    assert run(capsys, "macmahon", "--config", str(cfg), "--negate-q") == negated
+    assert run(capsys, "macmahon", "--config", str(cfg)) != negated
 
 
 def test_config_custom_space(tmp_path, capsys):
@@ -363,7 +380,7 @@ def test_custom_atlas_bundle_takes_untwisted_summands(capsys):
         "O,O", "trivial rank 2")
     assert summands == trivial
     code, out, err = run(capsys, "toric", *charts, "--bundle", "O1", "--nmax", "2")
-    assert (code, out, err) == (1, "", "usage error: twist (1,) needs 0 entries for custom\n")
+    assert (code, out, err) == (1, "", "usage error: custom twist (1,) is not a vector in Z^0\n")
 
 
 def test_custom_space_without_charts_names_the_chart_data(capsys):
@@ -587,6 +604,16 @@ def test_cobordism_builtin_refuses_bundle_and_rank(capsys):
         code, out, err = run(capsys, "cobordism", "--builtin", "quadric-dpr", *extra)
         assert (code, out) == (1, ""), extra
         assert err == "usage error: --builtin takes no --bundle or --rank\n"
+
+
+def test_cobordism_takes_a_builtin_or_a_space(capsys):
+    code, out, err = run(capsys, "cobordism", "--builtin", "quadric-dpr", "--space", "p3")
+    assert (code, out, err) == (1, "", "usage error: give either --builtin or --space, not both\n")
+
+
+def test_a_malformed_twist_names_the_summand(capsys):
+    code, out, err = run(capsys, "toric", "--space", "p3", "--bundle", "O1.x", "--nmax", "1")
+    assert (code, out, err) == (1, "", "usage error: bad bundle summand 'O1.x'\n")
 
 
 def test_rank_zero_is_refused_by_every_command(capsys):

@@ -136,6 +136,38 @@ def test_power_laws(coeffs, a, b):
     assert s ** a * s ** b == s ** (a + b)
 
 
+def test_rational_powers_are_exact():
+    # a_0 = 1 admits any rational power, with b_0 = 1 set exactly; 1 ** p was
+    # once the float 1.0, and the int path then refused the cube root
+    m = macmahon(12)
+    root = m ** Fraction(1, 3)
+    assert _reference_pow(root, 3) == root ** 3 == m
+    assert root.coeffs[:4] == (1, Fraction(1, 3), Fraction(8, 9), Fraction(113, 81))
+    raw = series_mod._power(macmahon(3).coeffs, Fraction(1, 3))
+    assert raw == root.coeffs[:4] and all(type(c) is Fraction for c in raw)
+    # a Fraction with denominator 1 is the int power, through the Fraction path
+    assert m ** Fraction(-20) == m ** -20
+    # any other non-int exponent, or a Fraction when a_0 != 1, is refused
+    for base, exponent in ((Series((2, 1)), Fraction(1, 2)), (Series((-1, 1)), Fraction(1, 3)),
+                           (m, 0.5), (m, "2")):
+        with pytest.raises(TypeError, match="series powers must be integers"):
+            base ** exponent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    tail=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=6),
+    numerator=st.integers(-6, 6),
+    denominator=st.integers(1, 5),
+)
+def test_rational_power_laws(tail, numerator, denominator):
+    # (s^(m/d))^d = s^m by repeated products, which share no code with the recurrence
+    s = Series([1, *tail])
+    power = s ** Fraction(numerator, denominator)
+    assert all(type(c) is Fraction for c in power.coeffs)
+    assert _reference_pow(power, denominator) == _reference_pow(s, numerator)
+
+
 def test_macmahon_matches_product_form():
     reference = _reference_macmahon(40).coeffs
     for order in range(41):
@@ -197,16 +229,21 @@ def test_integer_coeffs_raises_on_fractions():
         Series((1, Fraction(1, 2))).integer_coeffs()
 
 
+def test_empty_series_is_refused():
+    with pytest.raises(ValueError, match="at least the constant coefficient"):
+        Series(())
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        Series((1, 2)) + Series((1, 2, 3))
+        Series((1, 2)) * Series((1, 2, 3))
 
 
 def test_float_coefficients_are_refused():
     for coeffs in ([1, 0.5], (1.0,), [Fraction(1), 2, -0.0]):
         with pytest.raises(TypeError, match="is a float"):
             Series(coeffs)
-    for combine in (lambda s: s * 0.5, lambda s: 0.5 * s, lambda s: s + 0.5):
+    for combine in (lambda s: s * 0.5, lambda s: 0.5 * s):
         with pytest.raises(TypeError, match="cannot be combined with float"):
             combine(Series((1, 2)))
 

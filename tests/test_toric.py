@@ -210,7 +210,7 @@ def test_custom_space_has_no_polytope_data():
     assert custom.num_factors == 0
     assert custom.twist_vertices == ((),) * 4
     assert split_bundle(custom, [(), ()]) == trivial_bundle(custom, 2)
-    with pytest.raises(ValueError, match=re.escape("twist (1,) needs 0 entries for custom")):
+    with pytest.raises(ValueError, match=re.escape("custom twist (1,) is not a vector in Z^0")):
         split_bundle(custom, [1])
     # an empty iterator of charts once built a space with no charts
     for charts in ((), iter(())):
@@ -220,8 +220,10 @@ def test_custom_space_has_no_polytope_data():
 
 def test_split_bundles_refuse_non_integer_characters():
     p3 = builtin_space("p3")
-    for twists, named in (([(1.0,)], "1.0"), ([1.5], "1.5"), ([0, Fraction(1)], "Fraction(1, 1)")):
-        message = rf"^twist degree {re.escape(named)} is not an integer$"
+    # a bare degree is read as a one-entry twist, and is named as one
+    for twists, named in (([(1.0,)], "(1.0,)"), ([1.5], "(1.5,)"),
+                          ([0, Fraction(1)], "(Fraction(1, 1),)")):
+        message = rf"^p3 twist {re.escape(named)} is not a vector in Z\^1$"
         with pytest.raises(ValueError, match=message):
             split_bundle(p3, twists)
     for character in ((1.0, 0, 0), (True, 0, 0), (0, 0)):
@@ -422,6 +424,14 @@ def test_non_integral_series_names_its_coefficient(monkeypatch):
     with pytest.raises(NonIntegralError) as info:
         dt_series(p3, trivial_bundle(p3), 1)
     assert str(info.value) == "coefficient of q^1 is 1/2"
+
+
+def test_dt_series_refuses_a_constant_coefficient_other_than_one(monkeypatch):
+    p3 = builtin_space("p3")
+    monkeypatch.setattr(toric, "_series_values",
+                        lambda space, bundle, nmax, points: [(2, 40)] * len(points))
+    with pytest.raises(NonIntegralError, match=r"^constant coefficient 2 should be 1$"):
+        dt_series(p3, trivial_bundle(p3), 1)
 
 
 @pytest.mark.parametrize(
