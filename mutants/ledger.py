@@ -1,0 +1,89 @@
+"""The mutant ledger: planted bugs, and the tests that must catch each one.
+
+A mutant replaces text, which must occur exactly once, in one module of
+src/quotdt.  It lists the tests that must fail under it, by pytest node id
+from the repository root, each marked as an oracle or as a pinned value:
+
+- an oracle computes the right answer without the engine's code (a Chern
+  ring against localization, a character against the Hom spaces, a series
+  against a proved closed form);
+- a pinned value compares with a literal the engine once gave.
+
+test_mutants.py applies each mutant to a copy of the repository and checks
+that every listed test fails there.  A change that moves a mutant's text
+updates its entry.  A mutant is never dropped because it survives: a
+survivor is a finding.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/quotdt
+    text: str
+    replacement: str
+    oracles: tuple[str, ...]
+    pinned: tuple[str, ...] = ()
+
+
+MUTANTS = (
+    # each block U_jk filed under the color pair (k, j); no sum changes
+    Mutant(
+        "vertex.py", "1 + j * rank + k", "1 + k * rank + j",
+        oracles=(
+            "tests/test_hom_oracle.py::test_formal_characters_match_the_hom_oracle[2-5]",
+            "tests/test_hom_oracle.py::test_formal_characters_match_the_hom_oracle[3-3]",
+            "tests/test_hom_oracle.py::test_random_formal_characters_match_the_hom_oracle",
+        ),
+        pinned=(
+            "tests/test_vertex.py::test_rank_two_cross_term_factor",
+            "tests/test_cli.py::test_vertex_rank_two_cross_terms",
+        ),
+    ),
+    # the Grothendieck sign of a projective bundle's tautological class
+    Mutant(
+        "conventions.py", "GROTHENDIECK_SIGN = -1", "GROTHENDIECK_SIGN = 1",
+        oracles=(
+            "tests/test_chern.py::test_quadric_dpr_passes",
+            "tests/test_chern.py::test_normal_cone_dpr_passes",
+            "tests/test_chern.py::test_projective_bundle_sign_calibration",
+        ),
+        pinned=("tests/test_chern.py::test_chern_numbers_frozen[pbundle-p2-1]",),
+    ),
+    # E^3 of the blow-up of P^3 along a conic
+    Mutant(
+        "chern.py", "(0, 3): -6", "(0, 3): -5",
+        oracles=("tests/test_chern.py::test_quadric_dpr_passes",),
+        pinned=("tests/test_chern.py::test_chern_numbers_frozen[blowup-p3-conic]",),
+    ),
+    # the samples are never compared, so a parameter dependence goes unseen
+    Mutant(
+        "toric.py", "if other == first:", "if True:",
+        oracles=(
+            "tests/test_toric.py::test_parameter_dependence_names_first_differing_coefficient",
+            "tests/test_toric.py::test_parameter_dependence_names_scalar_values",
+        ),
+    ),
+    # bottom layers by size, smallest first: the same partitions in another order
+    Mutant(
+        "partitions.py", "key=sum, reverse=True", "key=sum",
+        oracles=(),
+        pinned=(
+            "tests/test_partitions.py::test_enumeration_order_is_pinned[plane-n8]",
+            "tests/test_partitions.py::test_enumeration_order_is_pinned[rank2-n5]",
+            "tests/test_partitions.py::test_enumeration_order_is_pinned[rank3-n3]",
+        ),
+    ),
+    # Q_k read as dual(Q_k) in U_jk; the constant term still vanishes
+    Mutant(
+        "vertex.py", "key = b + offset", "key = offset - b",
+        oracles=(
+            "tests/test_kvertex.py::test_standard_chart_satisfies_the_k_vertex_identity[1-8]",
+            "tests/test_kvertex.py::test_standard_chart_satisfies_the_k_vertex_identity[2-5]",
+            "tests/test_kvertex.py::test_every_twisted_chart_satisfies_the_k_vertex_identity"
+            "[p1cubed-O2.-1.1]",
+            "tests/test_hom_oracle.py::test_formal_characters_match_the_hom_oracle[1-7]",
+        ),
+        pinned=("tests/test_toric.py::test_dt_series_rank_one_frozen",),
+    ),
+)

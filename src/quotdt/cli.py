@@ -390,8 +390,6 @@ def cmd_toric(args) -> tuple[dict, dict, dict, int]:
 def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
     space, bundle = resolve_space_bundle(args)
     nmax = check_size(1 if args.nmax is None else args.nmax, "--nmax")
-    if args.chart_index is not None and not 0 <= args.chart_index < space.num_charts:
-        raise ValueError(f"chart index {args.chart_index} out of range")
     indices = (
         range(space.num_charts) if args.chart_index is None else (args.chart_index,)
     )

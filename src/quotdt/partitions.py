@@ -60,7 +60,10 @@ class ColoredPlanePartition(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[PlanePartition, ...]):
-        self._set(parts)
+        if not (isinstance(parts, (tuple, list)) and parts
+                and all(isinstance(part, PlanePartition) for part in parts)):
+            raise ValueError(f"parts {parts!r} is not a nonempty tuple of plane partitions")
+        self._set(tuple(parts))
 
     @property
     def rank(self) -> int:
@@ -69,39 +72,35 @@ class ColoredPlanePartition(Record):
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, largest part first."""
-    check_size(n, "n")
-
-    def gen(rest: int, cap: int) -> Iterator[Partition]:
-        if rest == 0:
-            yield ()
-            return
-        for part in range(min(cap, rest), 0, -1):
-            for tail in gen(rest - part, part):
-                yield (part, *tail)
-
-    return tuple(gen(n, n))
+    if check_size(n, "n") == 0:
+        return ((),)
+    return tuple(d for d in _subdiagrams((n,) * n, n) if sum(d) == n)
 
 
-def _subdiagrams(shape: Partition) -> Iterator[Partition]:
-    """Young diagrams contained in the nonempty shape, including the empty one."""
+def _subdiagrams(shape: Partition, budget: int) -> Iterator[Partition]:
+    """The nonempty Young diagrams inside shape with at most budget boxes, largest first.
 
-    def gen(row: int, cap: int) -> Iterator[Partition]:
-        if row == len(shape):
-            yield ()
-            return
-        top = min(cap, shape[row])
-        for length in range(top, -1, -1):
-            if length == 0:
-                yield ()
-                return
-            for tail in gen(row + 1, length):
-                yield (length, *tail)
+    Largest first is descending tuple order: (2, 1) before (2,) before (1, 1).
+    A row never outgrows the row above it, the shape or the boxes left, so
+    no diagram that does not fit is generated.
+    """
 
-    yield from gen(0, shape[0])
+    def gen(row: int, cap: int, left: int) -> Iterator[Partition]:
+        if row < len(shape):
+            for length in range(min(cap, shape[row], left), 0, -1):
+                for tail in gen(row + 1, length, left - length):
+                    yield (length, *tail)
+                yield (length,)
+
+    return gen(0, budget, budget)
 
 
 def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
-    """All plane partitions of n in a fixed deterministic order."""
+    """All plane partitions of n in a fixed deterministic order.
+
+    The bottom layers come by size, largest first, and each layer above is
+    one of the diagrams inside the one below that fit the boxes left.
+    """
     if check_size(n, "n") == 0:
         return (EMPTY_PLANE_PARTITION,)
 
@@ -118,17 +117,12 @@ def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
             # each layer lies inside the one below, so the boxes are downward closed
             results.append(PlanePartition._trusted(boxes))
             return
-        for nxt in _subdiagrams(layers[-1]):
-            size = sum(nxt)
-            if 0 < size <= budget:
-                layers.append(nxt)
-                extend(layers, budget - size)
-                layers.pop()
+        for layer in _subdiagrams(layers[-1], budget):
+            extend([*layers, layer], budget - sum(layer))
 
-    for first_size in range(n, 0, -1):
-        for first in partitions_of(first_size):
-            extend([first], n - first_size)
-
+    # the sort is stable, so each size keeps the generator's order
+    for bottom in sorted(_subdiagrams((n,) * n, n), key=sum, reverse=True):
+        extend([bottom], n - sum(bottom))
     return tuple(results)
 
 

@@ -94,7 +94,7 @@ class Series:
     def __pow__(self, exponent: int | Fraction) -> "Series":
         if isinstance(exponent, Fraction) and self.coeffs[0] == 1:
             return Series(_power(self.coeffs, exponent))
-        if not isinstance(exponent, int):
+        if type(exponent) is not int:  # bool, an int subclass, is refused
             raise TypeError("series powers must be integers, or Fractions when a_0 = 1")
         order = self.order
         if exponent == 0:
@@ -113,7 +113,7 @@ class Series:
 
     def substitute_signed(self, sign: int) -> "Series":
         """The substitution q -> sign * q for sign in {+1, -1}."""
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # True == 1, so refuse bool
             raise ValueError("sign must be +1 or -1")
         if sign == 1:
             return self

@@ -172,6 +172,8 @@ def trivial_bundle(space: ToricSpace, rank: int = 1) -> SplitBundle:
 def chart_of(space: ToricSpace, bundle: SplitBundle, index: int) -> ChartWeights:
     if len(bundle.per_chart) != space.num_charts:
         raise ValueError("bundle chart data does not match the space")
+    if not 0 <= check_int(index, "chart index") < space.num_charts:
+        raise ValueError(f"chart index {index} out of range")
     return ChartWeights(space.charts[index], bundle.per_chart[index])
 
 

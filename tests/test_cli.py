@@ -481,6 +481,13 @@ def test_vertex_refuses_negative_nmax(capsys):
         assert err == "usage error: --nmax must be nonnegative\n", argv
 
 
+def test_vertex_refuses_a_chart_index_out_of_range(capsys):
+    for index in ("4", "-1"):
+        code, out, err = run(capsys, "vertex", "--space", "p3", "--nmax", "1", "--chart-index", index)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: chart index {index} out of range\n"
+
+
 def test_threads_is_a_toric_option(tmp_path, capsys):
     # no command reads --threads, so every one refuses it
     code, out, err = run(capsys, "macmahon", "--nmax", "3", "--threads", "-1")

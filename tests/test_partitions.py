@@ -4,6 +4,7 @@ The oracle grows downward-closed box sets one box at a time, which is
 independent of the layered generation used by the package.
 """
 
+import hashlib
 import re
 from fractions import Fraction
 
@@ -90,11 +91,47 @@ def test_plane_partition_boxes_lie_in_z3():
     assert PlanePartition([[1, 0, 0], [0, 0, 0]]) == PlanePartition(((0, 0, 0), (1, 0, 0)))
 
 
+def test_colored_partition_parts_are_plane_partitions():
+    # () and (1, 2) were once accepted, and ('x',) then failed in
+    # vertex_character with an AttributeError
+    for parts in ((), [], ("x",), (1, 2), (EMPTY_PLANE_PARTITION, None), EMPTY_PLANE_PARTITION):
+        with pytest.raises(ValueError, match=f"^parts {re.escape(repr(parts))} is not a nonempty"):
+            ColoredPlanePartition(parts)
+    # a list is stored as a tuple
+    cpp = ColoredPlanePartition([EMPTY_PLANE_PARTITION])
+    assert cpp.parts == (EMPTY_PLANE_PARTITION,) and cpp == ColoredPlanePartition((EMPTY_PLANE_PARTITION,))
+
+
 def test_partitions_of():
     assert partitions_of(5) == (
         (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1),
     )
     assert partitions_of(0) == ((),)
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(tuple(items)).encode()).hexdigest()
+
+
+def _colored(n: int, r: int):
+    return (tuple(part.boxes for part in cpp.parts) for cpp in enum_colored(n, r))
+
+
+# The order reaches users as the row order of vertex tables and as the
+# partition a ZeroWeightError names, so each enumeration is pinned tuple for
+# tuple: the sha256 of the repr of its items, sizes ascending.
+@pytest.mark.parametrize("items, want", [
+    (lambda: (pp.boxes for n in range(9) for pp in enum_plane_partitions(n)),
+     "40742946d868931f75dd70c2ddc27d1f2fbe27c01d5ce12f65241f4175463465"),
+    (lambda: (parts for n in range(6) for parts in _colored(n, 2)),
+     "a8b1fe80da90df59226a0f5352d6c4ce4a1032252634f33b3a66e0b0a21bc2e0"),
+    (lambda: (parts for n in range(4) for parts in _colored(n, 3)),
+     "243f05b0203b1e3971b466466c073be7c58e52aa180570a0836cf9330381065d"),
+    (lambda: (partitions_of(n) for n in range(11)),
+     "20c424100c6df2afadb08ffc98eda460728d209cfc8d7258fe2d05d97e016130"),
+], ids=["plane-n8", "rank2-n5", "rank3-n3", "partitions-n10"])
+def test_enumeration_order_is_pinned(items, want):
+    assert _digest(items()) == want
 
 
 def test_compositions():

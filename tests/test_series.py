@@ -154,6 +154,18 @@ def test_rational_powers_are_exact():
             base ** exponent
 
 
+def test_bool_exponents_and_signs_are_refused():
+    # bool subclasses int; m ** True once returned m and m ** False one, and
+    # substitute_signed(True) returned the series unchanged
+    m = macmahon(3)
+    for exponent in (True, False):
+        with pytest.raises(TypeError, match="series powers must be integers"):
+            m ** exponent
+    for sign in (True, 1.0, Fraction(-1)):
+        with pytest.raises(ValueError, match="^sign must be \\+1 or -1$"):
+            m.substitute_signed(sign)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     tail=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=6),

@@ -381,6 +381,18 @@ def test_chart_of_consistency():
         chart_of(p3, SplitBundle(1, (((0, 0, 0),),)), 0)
 
 
+def test_chart_of_refuses_bad_indices():
+    # -1 once read the last chart and True chart 1; 4 raised IndexError and
+    # 1.0 a TypeError
+    p3 = builtin_space("p3")
+    bundle = trivial_bundle(p3)
+    for index, message in ((4, "chart index 4 out of range"), (-1, "chart index -1 out of range"),
+                           (True, "chart index True is not an integer"),
+                           (1.0, "chart index 1.0 is not an integer")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chart_of(p3, bundle, index)
+
+
 def test_count_fixed_points_frozen():
     p3 = builtin_space("p3")
     assert count_fixed_points(p3, 1, 3) == (1, 4, 18, 64)
