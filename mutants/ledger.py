@@ -6,7 +6,8 @@ from the repository root, each marked as an oracle or as a pinned value:
 
 - an oracle computes the right answer without the engine's code (a Chern
   ring against localization, a character against the Hom spaces, a series
-  against a proved closed form);
+  against a proved closed form, the API-surface test against the source's
+  own references);
 - a pinned value compares with a literal the engine once gave.
 
 test_mutants.py applies each mutant to a copy of the repository and checks
@@ -85,5 +86,13 @@ MUTANTS = (
             "tests/test_hom_oracle.py::test_formal_characters_match_the_hom_oracle[1-7]",
         ),
         pinned=("tests/test_toric.py::test_dt_series_rank_one_frozen",),
+    ),
+    # cmd_chern labels its monomials inline, with the same labels: the helper
+    # loses its last reader and no output changes
+    Mutant(
+        "cli.py", "[_monomial_label(a, b) for a, b in",
+        '["*".join(f"{x}{i}" + (f"^{e}" if e > 1 else "") for x, exps in (("c", a), ("f", b))'
+        " for i, e in enumerate(exps, 1) if e) for a, b in",
+        oracles=("tests/test_api_surface.py::test_every_member_has_a_reader",),
     ),
 )

@@ -1,8 +1,9 @@
 """Each mutant of the ledger fails every test it lists.
 
 Each run copies src/, tests/, pyproject.toml and README.md to a temporary
-directory, applies one mutant there and runs only its listed tests.  Run
-from the repository root: python3 -m pytest mutants
+directory, with perfbench/tracer.py read-only for the API-surface test,
+applies one mutant there and runs only its listed tests.  Run from the
+repository root: python3 -m pytest mutants
 """
 
 import os
@@ -24,8 +25,10 @@ def _copy(dest: Path) -> Path:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
-    for name in ("pyproject.toml", "README.md"):
+    for name in ("pyproject.toml", "README.md", "perfbench/tracer.py"):
+        (dest / name).parent.mkdir(exist_ok=True)
         shutil.copy(ROOT / name, dest / name)
+    (dest / "perfbench" / "tracer.py").chmod(0o444)
     return dest
 
 

@@ -37,7 +37,6 @@ _EXPORTS = {
         "reconstruct",
         "ring_of_projective_product",
         "split_bundle_class",
-        "trivial_bundle_class",
     ),
     "errors": (
         "NonIntegralError",

@@ -9,12 +9,15 @@ Elements are sparse dicts from exponent tuples to Fractions, polynomials in
 the free generators truncated above degree three; truncation is a ring
 homomorphism, so every integral agrees with the one in the true ring.
 A ring multiplies the factors of c(T) once, on construction, and a
-BundleClass its (1 + root) factors; split_bundle_class builds one from
-integer twists, as toric.split_bundle does on the toric side.
+BundleClass its (1 + root) factors; BundleClass(ring, rank) with no roots
+is the trivial bundle, and split_bundle_class builds one from integer
+twists, as toric.split_bundle does on the toric side.  A Chern number that
+comes out non-integral raises NonIntegralError.
 
 The cobordism side packages (ring, bundle) pairs: phi classes of partition
-pairs, mixed Chern number vectors, decomposition in the phi basis by an exact
-linear solve, and the double point relation checker with its built-ins.
+pairs, mixed Chern number vectors, decomposition in the phi basis of the
+bundle's rank by an exact linear solve, and the double point relation
+checker with its built-ins.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import conventions
-from .errors import SingularBasisMatrixError, check_int, check_rank, read_twists
+from .errors import NonIntegralError, SingularBasisMatrixError, check_int, check_rank, read_twists
 from .partitions import PartitionPair, enum_partition_pairs
 from .record import Record
 
@@ -221,10 +224,6 @@ class BundleClass:
         return self.ring.degree_part(self.total, j)
 
 
-def trivial_bundle_class(ring: ChernRing, rank: int = 1) -> BundleClass:
-    return BundleClass(ring, rank)
-
-
 def split_bundle_class(ring: ChernRing, twists) -> BundleClass:
     """Build a split bundle from one twist per summand, as toric.split_bundle does.
 
@@ -241,7 +240,7 @@ def split_bundle_class(ring: ChernRing, twists) -> BundleClass:
 def _integral_number(ring: ChernRing, element: Element, what: str) -> int:
     value = ring.integrate(element)
     if value.denominator != 1:
-        raise RuntimeError(f"{what} of {ring.name} is not an integer: {value}")
+        raise NonIntegralError(f"{what} of {ring.name} is not an integer: {value}")
     return value.numerator
 
 
@@ -292,24 +291,15 @@ def phi_class(lam, mu, rank: int) -> tuple[ChernRing, BundleClass]:
     """The basis class of a partition pair: P^lam with O^(rank-len(mu)) + sum L_m.
 
     Each part m of mu contributes the pullback of O(1) from a distinct P^m
-    factor of the product.
+    factor of the product.  PartitionPair refuses a mu that is not a
+    sub-multiset of lam, and BundleClass one with more parts than the rank.
     """
-    lam = tuple(lam)
-    mu = tuple(mu)
-    if len(mu) > rank:
-        raise ValueError("mu has more parts than the rank allows")
-    ring = ring_of_projective_product(lam)
-    used: set[int] = set()
-    roots = []
-    for part in mu:
-        idx = next(
-            (i for i, d in enumerate(lam) if d == part and i not in used), None
-        )
-        if idx is None:
-            raise ValueError(f"{mu} is not a sub-multiset of {lam}")
-        used.add(idx)
-        roots.append(ring.gen(f"h{idx + 1}"))
-    return ring, BundleClass(ring, rank, tuple(roots))
+    pair = PartitionPair(tuple(lam), tuple(mu))
+    ring = ring_of_projective_product(pair.lam)
+    used: list[int] = []  # the factor of each part of mu
+    for part in pair.mu:
+        used.append(next(i for i, d in enumerate(pair.lam) if d == part and i not in used))
+    return ring, BundleClass(ring, rank, [ring.gen(f"h{i + 1}") for i in used])
 
 
 def solve_exact(matrix, rhs):
@@ -347,12 +337,10 @@ def basis_matrix(rank: int):
     return pairs, matrix
 
 
-def decompose(ring: ChernRing, bundle: BundleClass, rank: int) -> dict[PartitionPair, Fraction]:
-    """Coefficients of (ring, bundle) in the phi basis, by exact linear solve."""
-    if bundle.rank != rank:
-        raise ValueError("bundle rank does not match the requested rank")
+def decompose(ring: ChernRing, bundle: BundleClass) -> dict[PartitionPair, Fraction]:
+    """Coefficients of (ring, bundle) in the phi basis of its rank, by exact linear solve."""
     target = mixed_chern_vector(ring, bundle)
-    pairs, matrix = basis_matrix(rank)
+    pairs, matrix = basis_matrix(bundle.rank)
     coeffs = solve_exact(matrix, target)
     return dict(zip(pairs, coeffs))
 
@@ -407,7 +395,7 @@ def dpr_check(y_xi, a, b, p_pi) -> DprReport:
 
 
 def _with_trivial_line_bundles(*rings) -> tuple:
-    return tuple((ring, trivial_bundle_class(ring)) for ring in rings)
+    return tuple((ring, BundleClass(ring, 1)) for ring in rings)
 
 
 def quadric_dpr() -> tuple:

@@ -9,7 +9,9 @@ sub-multiset of lambda of length at most r.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Tuple
 
 from .errors import check_rank, check_size, check_vector
@@ -127,17 +129,26 @@ def enum_plane_partitions(n: int) -> tuple[PlanePartition, ...]:
 
 
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of n into k ordered parts, lexicographically largest first."""
+    """Weak compositions of n into k ordered parts, lexicographically largest first.
+
+    Each follows the one before: the rightmost nonzero part before the last
+    gives one unit to the part after it, and that part takes the tail's sum,
+    which is the last part, since the parts between are zero.
+    """
     if k == 0:
         if n == 0:
             yield ()
         return
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n, -1, -1):
-        for tail in compositions(n - head, k - 1):
-            yield (head, *tail)
+    parts = [n] + [0] * (k - 1)
+    while True:
+        yield tuple(parts)
+        i = next((i for i in range(k - 2, -1, -1) if parts[i]), -1)
+        if i < 0:
+            return
+        last = parts[-1]
+        parts[-1] = 0
+        parts[i] -= 1
+        parts[i + 1] = last + 1
 
 
 # typed: a float size or rank equal to a cached int one must miss, and be refused.
@@ -164,34 +175,17 @@ class PartitionPair(Record):
     __slots__ = ("lam", "mu")
 
     def __init__(self, lam: Partition, mu: Partition):
-        if not _is_submultiset(mu, lam):
+        if not Counter(mu) <= Counter(lam):
             raise ValueError(f"{mu} is not a sub-multiset of {lam}")
         self._set(lam, mu)
 
 
-def _is_submultiset(mu: Partition, lam: Partition) -> bool:
-    available = list(lam)
-    for part in mu:
-        if part in available:
-            available.remove(part)
-        else:
-            return False
-    return True
-
-
 def _submultisets(lam: Partition) -> Iterator[Partition]:
-    distinct = sorted(set(lam), reverse=True)
-    counts = [lam.count(p) for p in distinct]
-
-    def gen(idx: int) -> Iterator[Partition]:
-        if idx == len(distinct):
-            yield ()
-            return
-        for take in range(counts[idx] + 1):
-            for tail in gen(idx + 1):
-                yield (distinct[idx],) * take + tail
-
-    yield from gen(0)
+    """The sub-multisets of lam, largest part first; the largest part's count varies slowest."""
+    counts = Counter(lam)
+    distinct = sorted(counts, reverse=True)
+    for takes in product(*(range(counts[part] + 1) for part in distinct)):
+        yield tuple(part for part, take in zip(distinct, takes) for _ in range(take))
 
 
 def enum_partition_pairs(n: int, r: int) -> tuple[PartitionPair, ...]:

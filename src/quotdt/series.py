@@ -9,16 +9,19 @@ The closed forms each take one O(N^2) pass:
   with s2(k) the sum of the squares of the divisors of k, so
   n a_n = sum_{k=1..n} s2(k) a_{n-k}.  s2 is sieved in ints and each
   division by n is checked exact.
-- Any integer power b = a^p, negative p included, follows from
-  a b' = p a' b (J.C.P. Miller's recurrence):
+- Any integer power b = a^p of a series with a_0 != 0, p = 0 and negative
+  p included, follows from a b' = p a' b (J.C.P. Miller's recurrence):
   b_0 = a_0^p,  n a_0 b_n = sum_{k=1..n} ((p+1)k - n) a_k b_{n-k}.
-  At p = -1 this is the inverse recurrence.  A series with integer
-  coefficients and a_0 = +-1 has integer powers, so it runs in ints with
-  checked divisions; any other runs in Fractions.
+  At p = -1 this is the inverse recurrence; at p = 0 every b_n past b_0
+  is 0.  A series with integer coefficients and a_0 = +-1 has integer
+  powers, so it runs in ints with checked divisions; any other runs in
+  Fractions.
 - A rational power p of a series with a_0 = 1 follows from the same
   recurrence in Fractions, with b_0 = 1 set exactly.
 
-Each makes about N^2/2 products, whatever the power.
+Each makes about N^2/2 products, whatever the power.  A series with
+a_0 = 0 has no power at all here: every exponent raises ZeroDivisionError.
+The closed formula raises only series with a_0 = +-1.
 """
 
 from __future__ import annotations
@@ -37,12 +40,6 @@ class Series:
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls((1,) + (0,) * order)
 
     # -- inspection -------------------------------------------------------
 
@@ -92,24 +89,13 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int | Fraction) -> "Series":
-        if isinstance(exponent, Fraction) and self.coeffs[0] == 1:
-            return Series(_power(self.coeffs, exponent))
-        if type(exponent) is not int:  # bool, an int subclass, is refused
+        a0 = self.coeffs[0]
+        # bool, an int subclass, is refused
+        if type(exponent) is not int and not (isinstance(exponent, Fraction) and a0 == 1):
             raise TypeError("series powers must be integers, or Fractions when a_0 = 1")
-        order = self.order
-        if exponent == 0:
-            return Series.one(order)
-        # a = q^v * a' with a'_0 != 0; a^p = q^(v p) * a'^p
-        v = next((n for n, c in enumerate(self.coeffs) if c), order + 1)
-        if not v:
-            return Series(_power(self.coeffs, exponent))
-        if exponent < 0:
-            raise ZeroDivisionError("series with zero constant term has no negative power")
-        shift = v * exponent
-        if shift > order:
-            return Series((0,) * (order + 1))
-        head = self.coeffs[v : v + order - shift + 1]
-        return Series((0,) * shift + _power(head, exponent))
+        if not a0:
+            raise ZeroDivisionError("a series with zero constant term has no power")
+        return Series(_power(self.coeffs, exponent))
 
     def substitute_signed(self, sign: int) -> "Series":
         """The substitution q -> sign * q for sign in {+1, -1}."""

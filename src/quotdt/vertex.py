@@ -46,12 +46,13 @@ injective, so it needs no merging and no second constant check.
 vertex_character returns a chart character, the formal character and the
 chart; chart_terms substitutes its exponent dict, which only the vertex
 tables, symmetry_defect and the naming of a zero weight read.
-euler_inverse(char, params) builds its own weight table, chart_weights: a
-dict for one chart and one parameter point that maps a code to
-x w1 + y w2 + z w3 plus color k's weight minus color j's, where
-w_i = a_i . s and color j weighs m_j . s + v_j.  _weigh gives the weights
-of unpacked codes in one table with one comprehension.  The inverse Euler
-class is then two products of table lookups.
+chart_weights gives one chart's weights at one parameter point as a plain
+pair: the tangent weights w_i = a_i . s and, per color pair, color k's
+weight minus color j's, where color j weighs m_j . s + v_j.  _weigh maps
+unpacked codes through that pair to x w1 + y w2 + z w3 plus the pair's
+offset, in one comprehension.  euler_inverse(char, params) weighs the
+character's codes into a local dict, and the inverse Euler class is then
+two products of its lookups.
 
 chart_sums(charts, rank, nmax, points) returns the chart sums for every
 parameter point and every size n up to nmax in one pass over the fixed
@@ -326,37 +327,23 @@ class EquivParams(Record):
         return len(self.v)
 
 
-class _WeightTable(dict):
-    """Code -> weight in one chart at one parameter point.
+def chart_weights(chart: ChartWeights, params: EquivParams) -> tuple[Vec3, list[int]]:
+    """The weights of a chart at a parameter point, as the pair (tangent, offsets).
 
     tangent holds w1, w2 and w3, and offsets[pair] the weight of color k
-    minus that of color j (0 for the diagonal pair 0).  _weigh gives the
-    weights of unpacked codes.
-    """
-
-    __slots__ = ("tangent", "offsets")
-
-
-def chart_weights(chart: ChartWeights, params: EquivParams) -> _WeightTable:
-    """The weight table of a chart at a parameter point.
-
-    It starts empty: euler_inverse fills it with the codes it reads, and
-    chart_sums reads only its tangent and offsets, one table per column.
+    minus that of color j (0 for the diagonal pair 0).  _weigh reads both.
     """
     if chart.rank != params.rank:
         raise ValueError("parameter rank does not match chart rank")
     s = params.s
     colors = [sum(map(mul, m, s)) + v for m, v in zip(chart.twists, params.v)]
-    table = _WeightTable()
-    table.tangent = tuple(sum(map(mul, a, s)) for a in chart.tangent)
-    table.offsets = [0] + [ck - cj for cj in colors for ck in colors]
-    return table
+    tangent = tuple(sum(map(mul, a, s)) for a in chart.tangent)
+    return tangent, [0] + [ck - cj for cj in colors for ck in colors]
 
 
-def _weigh(table: _WeightTable, digits) -> list[int]:
-    """The weight in table of each code, given unpacked as (pair, x, y, z)."""
-    w1, w2, w3 = table.tangent
-    offsets = table.offsets
+def _weigh(weights: tuple[Vec3, list[int]], digits) -> list[int]:
+    """The weight under chart_weights' pair of each code, given unpacked as (pair, x, y, z)."""
+    (w1, w2, w3), offsets = weights
     return [x * w1 + y * w2 + z * w3 + offsets[pair] for pair, x, y, z in digits]
 
 
@@ -374,15 +361,14 @@ def euler_inverse(char: ChartCharacter, params: EquivParams) -> Fraction:
     """Inverse equivariant Euler class of a chart character, from 3 + r scalar weights.
 
     Moving monomials with positive coefficient contribute their weight to the
-    denominator, negative ones to the numerator, read from a weight table
-    built here.  A zero weight means the parameters are inadmissible for
-    this character; _zero_weight names the monomial.
+    denominator, negative ones to the numerator, read from a dict of the
+    character's weights built here.  A zero weight means the parameters are
+    inadmissible for this character; _zero_weight names the monomial.
     """
     if not isinstance(char, ChartCharacter):
         raise TypeError("euler_inverse takes a chart character from vertex_character")
-    table = chart_weights(char.chart, params)
     terms, num, den = char.formal
-    table.update(zip(terms, _weigh(table, map(_unpack, terms))))
+    table = dict(zip(terms, _weigh(chart_weights(char.chart, params), map(_unpack, terms))))
     weigh = table.__getitem__
     top = prod(map(weigh, num))
     bottom = prod(map(weigh, den))

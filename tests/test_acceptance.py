@@ -167,7 +167,7 @@ def test_criterion_8_cobordism_suite():
     ring = C.ring_of_projective_product((3,))
     o2 = C.BundleClass(ring, 1, (ring.scale(ring.gen("h1"), 2),))
     vector = C.mixed_chern_vector(ring, o2)
-    reconstructs = C.reconstruct(C.decompose(ring, o2, 1), 1) == vector
+    reconstructs = C.reconstruct(C.decompose(ring, o2), 1) == vector
 
     dpr = C.dpr_check(*C.quadric_dpr())
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from quotdt import chern as C, conventions
-from quotdt.errors import SingularBasisMatrixError
+from quotdt.errors import NonIntegralError, SingularBasisMatrixError
 from quotdt.partitions import PartitionPair, enum_partition_pairs
 from quotdt.record import Record
 
@@ -147,7 +147,7 @@ def test_rings_are_complete_on_construction():
 def test_a_non_integral_chern_number_is_an_invariant_failure():
     # c(T) = 1 + h^3 makes c3_t_omega the integral of h^3, given as 1/2
     ring = C.ChernRing("half", ("h",), {(3,): Fraction(1, 2)}, [{(0,): 1, (3,): 1}])
-    with pytest.raises(RuntimeError, match=r"^c3_t_omega of half is not an integer: 1/2$"):
+    with pytest.raises(NonIntegralError, match=r"^c3_t_omega of half is not an integer: 1/2$"):
         C.c3_t_omega(ring)
 
 
@@ -296,18 +296,21 @@ def test_phi_class_vector_rank_two():
 
 
 def test_phi_class_validation():
-    with pytest.raises(ValueError):
-        C.phi_class((2, 1), (3,), 1)
-    with pytest.raises(ValueError):
-        C.phi_class((3,), (3, 3), 1)  # mu longer than rank
-    with pytest.raises(ValueError):
-        C.phi_class((2, 1), (1, 1), 2)  # (1,1) not inside (2,1)
+    # PartitionPair refuses a mu outside lam, BundleClass a mu longer than the rank
+    for lam, mu in (((2, 1), (3,)), ((3,), (3, 3)), ((2, 1), (1, 1))):
+        with pytest.raises(ValueError, match="is not a sub-multiset of"):
+            C.phi_class(lam, mu, 2)
+    with pytest.raises(ValueError, match="^more Chern roots than the rank allows$"):
+        C.phi_class((1, 1, 1), (1, 1), 1)
+    # each part of mu takes a distinct factor of its size, in order
+    ring, bundle = C.phi_class((1, 1, 1), (1, 1), 3)
+    assert bundle.roots == (ring.gen("h1"), ring.gen("h2"), {})
 
 
 def test_mixed_vector_rejects_foreign_bundle():
     ring = C.ring_of_projective_product((3,))
     other = C.ring_of_projective_product((3,))
-    bundle = C.trivial_bundle_class(other, 1)
+    bundle = C.BundleClass(other, 1)
     with pytest.raises(ValueError):
         C.mixed_chern_vector(ring, bundle)
 
@@ -368,7 +371,7 @@ def test_decompose_basis_classes_to_unit_vectors():
     for rank in (1, 2, 3):
         for pair in enum_partition_pairs(3, rank):
             ring, bundle = C.phi_class(pair.lam, pair.mu, rank)
-            coeffs = C.decompose(ring, bundle, rank)
+            coeffs = C.decompose(ring, bundle)
             for other, value in coeffs.items():
                 assert value == (1 if other == pair else 0)
 
@@ -378,13 +381,13 @@ def test_decompose_twisted_line_bundle_on_p3():
     o2 = C.BundleClass(ring, 1, (ring.scale(ring.gen("h1"), 2),))
     vector = C.mixed_chern_vector(ring, o2)
     assert vector == tuple(Fraction(x) for x in (4, 24, 64, 12, 32, 16, 8))
-    coeffs = C.decompose(ring, o2, 1)
+    coeffs = C.decompose(ring, o2)
     assert C.reconstruct(coeffs, 1) == vector
 
 
 def test_decompose_quadric_class():
     ring = C.quadric_threefold()
-    coeffs = C.decompose(ring, C.trivial_bundle_class(ring), 1)
+    coeffs = C.decompose(ring, C.BundleClass(ring, 1))
     nonzero = {(p.lam, p.mu): c for p, c in coeffs.items() if c}
     assert nonzero == {
         ((3,), ()): Fraction(-3, 2),
@@ -415,13 +418,7 @@ def test_decompose_random_split_bundles():
             roots.append(root)
         bundle = C.BundleClass(ring, rank, tuple(roots))
         vector = C.mixed_chern_vector(ring, bundle)
-        assert C.reconstruct(C.decompose(ring, bundle, rank), rank) == vector
-
-
-def test_decompose_rank_mismatch():
-    ring = C.ring_of_projective_product((3,))
-    with pytest.raises(ValueError):
-        C.decompose(ring, C.trivial_bundle_class(ring, 2), 1)
+        assert C.reconstruct(C.decompose(ring, bundle), rank) == vector
 
 
 def test_solve_exact_singular():
@@ -491,8 +488,8 @@ def test_chern_import_skips_dataclasses():
 
 def test_dpr_check_rank_consistency():
     ring = C.ring_of_projective_product((3,))
-    r1 = (ring, C.trivial_bundle_class(ring, 1))
-    r2 = (ring, C.trivial_bundle_class(ring, 2))
+    r1 = (ring, C.BundleClass(ring, 1))
+    r2 = (ring, C.BundleClass(ring, 2))
     with pytest.raises(ValueError):
         C.dpr_check(r1, r1, r1, r2)
 

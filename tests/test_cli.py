@@ -8,12 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quotdt import cli, toric, vertex
+from quotdt import chern, cli, toric, vertex
 from quotdt.errors import NonzeroFixedPartError
 from quotdt.series import Series
 from quotdt.vertex import EquivParams
@@ -630,6 +631,26 @@ def test_rank_zero_is_refused_by_every_command(capsys):
         code, out, err = run(capsys, *argv, "--rank", "0")
         assert (code, out) == (1, ""), argv
         assert "rank must be at least 1" in err, argv
+
+
+def test_a_rank_of_a_thousand_is_no_recursion_failure(capsys):
+    # compositions once recursed once per part, so both exited 2 with
+    # "maximum recursion depth exceeded in comparison"
+    report = run_json(capsys, "toric", "--space", "p3", "--rank", "1000", "--nmax", "0")
+    assert report["values"]["series"] == report["values"]["closed_formula"] == [1]
+    assert report["verdicts"]["series_matches_closed_formula"] == "MATCH"
+    report = run_json(capsys, "vertex", "--space", "p3", "--rank", "1000", "--nmax", "0",
+                      "--chart-index", "0")
+    assert len(report["values"]["params"]["v"]) == 1000
+
+
+def test_a_non_integral_chern_number_exits_2(capsys, monkeypatch):
+    # NonIntegralError is a QuotDTError, the one class main reports as an invariant failure
+    half = chern.ChernRing("half", ("h",), {(3,): Fraction(1, 2)}, [{(0,): 1, (3,): 1}])
+    monkeypatch.setattr(chern, "named_ring", lambda name: half)
+    code, out, err = run(capsys, "chern", "--space", "half")
+    assert (code, out) == (2, "")
+    assert err == "invariant failure: c3_t_omega of half is not an integer: 1/2\n"
 
 
 def test_vertex_probe_names_the_zero_weight(capsys, monkeypatch):

@@ -129,7 +129,13 @@ def _colored(n: int, r: int):
      "243f05b0203b1e3971b466466c073be7c58e52aa180570a0836cf9330381065d"),
     (lambda: (partitions_of(n) for n in range(11)),
      "20c424100c6df2afadb08ffc98eda460728d209cfc8d7258fe2d05d97e016130"),
-], ids=["plane-n8", "rank2-n5", "rank3-n3", "partitions-n10"])
+    (lambda: ((p.lam, p.mu)
+              for n in range(7) for r in range(5) for p in enum_partition_pairs(n, r)),
+     "78702e256db9262f1ae4eb90fdad8d22b0f8d1df38e8c24f6c497db66805d481"),
+    (lambda: (c for n in range(9) for k in range(6) for c in compositions(n, k)),
+     "8dbd283f61662e9939e140d132a068aa2733b960e3ce12af9be7b26f2d9ac4c4"),
+], ids=["plane-n8", "rank2-n5", "rank3-n3", "partitions-n10", "pairs-n6-r4",
+        "compositions-n8-k5"])
 def test_enumeration_order_is_pinned(items, want):
     assert _digest(items()) == want
 
@@ -139,6 +145,11 @@ def test_compositions():
     assert tuple(compositions(0, 3)) == ((0, 0, 0),)
     assert tuple(compositions(2, 1)) == ((2,),)
     assert len(tuple(compositions(4, 3))) == 15  # C(6,2)
+    assert tuple(compositions(2, 0)) == ()
+    # the successor loop needs no stack: a thousand parts once hit the recursion limit
+    assert tuple(compositions(0, 1000)) == ((0,) * 1000,)
+    assert next(compositions(1, 1000)) == (1,) + (0,) * 999
+    assert len(tuple(compositions(1, 1000))) == 1000
 
 
 def test_enum_colored_counts():

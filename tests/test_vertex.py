@@ -570,9 +570,12 @@ def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes
 
 
 def test_euler_inverse_weighs_the_characters_codes_into_its_own_table(monkeypatch):
-    tables = []
-    weights = vertex.chart_weights
-    monkeypatch.setattr(vertex, "chart_weights", lambda *a: tables.append(weights(*a)) or tables[-1])
+    # one _weigh per call, on the chart's weights, over exactly the character's codes
+    weighed = []
+    weigh = vertex._weigh
+    monkeypatch.setattr(vertex, "_weigh",
+                        lambda weights, digits: weighed.append((weights, list(digits)))
+                        or weigh(*weighed[-1]))
     space = builtin_space("p3")
     bundle = split_bundle(space, TWISTS["p3"][1])
     chart = chart_of(space, bundle, 1)
@@ -580,8 +583,10 @@ def test_euler_inverse_weighs_the_characters_codes_into_its_own_table(monkeypatc
     for cpp in enum_colored(3, 2):
         char = vertex_character(cpp, chart)
         assert euler_inverse(char, params) == _reference_euler(_plain(char), params)
-        assert tables.pop().keys() == char.formal[0].keys()
-        assert not tables
+        weights, digits = weighed.pop()
+        assert not weighed
+        assert weights == chart_weights(chart, params)
+        assert [_pack(*d) for d in digits] == list(char.formal[0])
     # a zero weight names the monomial the reference walk names
     char = vertex_character(one_box(), std_chart())
     zero = EquivParams(s=(1, -1, 5), v=(3,))
