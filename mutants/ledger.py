@@ -7,7 +7,7 @@ from the repository root, each marked as an oracle or as a pinned value:
 - an oracle computes the right answer without the engine's code (a Chern
   ring against localization, a character against the Hom spaces, a series
   against a proved closed form, the API-surface test against the source's
-  own references);
+  own references, the import contract against the modules a command reads);
 - a pinned value compares with a literal the engine once gave.
 
 test_mutants.py applies each mutant to a copy of the repository and checks
@@ -27,6 +27,14 @@ class Mutant(NamedTuple):
     pinned: tuple[str, ...] = ()
 
 
+# the oracles that catch a wrong off-diagonal block U_jk (j != k)
+_OFF_DIAGONAL_ORACLES = (
+    "tests/test_toric.py::test_rank_reduction_per_chart[p3-twists0-4]",
+    "tests/test_vertex.py::test_every_term_is_a_sign_at_a_calabi_yau_point",
+    "tests/test_hom_oracle.py::test_formal_characters_match_the_hom_oracle[2-5]",
+    "tests/test_kvertex.py::test_standard_chart_satisfies_the_k_vertex_identity[2-5]",
+)
+
 MUTANTS = (
     # each block U_jk filed under the color pair (k, j); no sum changes
     Mutant(
@@ -40,6 +48,18 @@ MUTANTS = (
             "tests/test_vertex.py::test_rank_two_cross_term_factor",
             "tests/test_cli.py::test_vertex_rank_two_cross_terms",
         ),
+    ),
+    # U_jk built from Q_j times P where it takes Q_k: the off-diagonal blocks change
+    Mutant(
+        "vertex.py", "qp[k], 1 + j", "qp[j], 1 + j",
+        oracles=_OFF_DIAGONAL_ORACLES,
+        pinned=("tests/test_vertex.py::test_rank_two_cross_term_factor",),
+    ),
+    # U_jk built as U_kj: the two colors of each off-diagonal block trade roles
+    Mutant(
+        "vertex.py", "codes_j, codes_k, qp[k]", "codes_k, codes_j, qp[k]",
+        oracles=_OFF_DIAGONAL_ORACLES,
+        pinned=("tests/test_vertex.py::test_rank_two_cross_term_factor",),
     ),
     # the Grothendieck sign of a projective bundle's tautological class
     Mutant(
@@ -94,5 +114,14 @@ MUTANTS = (
         '["*".join(f"{x}{i}" + (f"^{e}" if e > 1 else "") for x, exps in (("c", a), ("f", b))'
         " for i, e in enumerate(exps, 1) if e) for a, b in",
         oracles=("tests/test_api_surface.py::test_every_member_has_a_reader",),
+    ),
+    # the registry loads each module eagerly: `import quotdt` runs them all
+    Mutant(
+        "__init__.py", "LazyLoader(_spec.loader)", "_spec.loader",
+        oracles=(
+            "tests/test_cli.py::test_cli_import_skips_unused_modules",
+            "tests/test_cli.py::test_a_command_runs_only_the_modules_it_reads[argv0-runs0]",
+            "tests/test_cli.py::test_the_package_registers_its_modules_without_running_them",
+        ),
     ),
 )

@@ -6,13 +6,16 @@ character, and the weighted count is an integer matching the closed formula
 M((-1)^r q)^(r * c3(T tensor K)).  Everything is exact: big integers
 and Fractions; no floats anywhere.
 
-The names below are imported from their modules on first access (PEP 562).
-The CLI holds the engine modules through importlib's LazyLoader: `import
-quotdt.cli` runs only cli, errors and series, and registers the others so
-that each runs when a command first reads from it.
+Importing the package runs none of its modules.  It registers the seven in
+the loop below through importlib's LazyLoader, in sys.modules and on the
+package, and a module's code runs on its first attribute access; the names
+in __all__ are read from those module objects on first access (PEP 562).
+So `import quotdt.cli` runs only cli, errors and series, and each command
+runs only the modules it reads.
 """
 
-from importlib import import_module
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -82,6 +85,13 @@ _EXPORTS = {
 # One name -> module table for the lazy lookup.
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+for _name in ("chern", "conventions", "errors", "partitions", "series", "toric", "vertex"):
+    _spec = find_spec(f"{__name__}.{_name}")
+    _spec.loader = LazyLoader(_spec.loader)
+    globals()[_name] = sys.modules[_spec.name] = _module = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
 __all__ = sorted(_MODULE_OF)
 
 
@@ -89,4 +99,4 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    return getattr(globals()[module], name)

@@ -27,7 +27,9 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import conventions
-from .errors import NonIntegralError, SingularBasisMatrixError, check_int, check_rank, read_twists
+from .errors import (
+    NonIntegralError, SingularBasisMatrixError, check_int, check_rank, is_exact, read_twists,
+)
 from .partitions import PartitionPair, enum_partition_pairs
 from .record import Record
 
@@ -56,16 +58,24 @@ class ChernRing:
     def __init__(self, name: str, gens, integrals: Mapping, tangent):
         self.name = name
         self.gens = tuple(gens)
-        for exps in integrals:
-            if not (
-                isinstance(exps, tuple) and len(exps) == len(self.gens)
-                and all(type(e) is int and e >= 0 for e in exps) and sum(exps) == DIM
-            ):
+        for exps, value in integrals.items():
+            if not self.is_monomial(exps, DIM):
                 raise ValueError(
                     f"ring {name}: integral key {exps!r} is not a degree 3 monomial in {self.gens}"
                 )
+            if not is_exact(value):
+                raise ValueError(
+                    f"ring {name}: integral {value!r} of {exps} is not an int or a Fraction"
+                )
         self.integrals = integrals
         self.tangent_total = self.product(tangent)
+
+    def is_monomial(self, exps, degree: int) -> bool:
+        """exps is a tuple of one nonnegative int exponent per generator, summing to degree."""
+        return (
+            isinstance(exps, tuple) and len(exps) == len(self.gens)
+            and all(type(e) is int and e >= 0 for e in exps) and sum(exps) == degree
+        )
 
     # -- element constructors ------------------------------------------
 
@@ -213,6 +223,14 @@ class BundleClass:
     def __init__(self, ring: ChernRing, rank: int, roots=()):
         check_rank(rank)
         roots = tuple(roots)
+        for root in roots:
+            if not isinstance(root, Mapping) or not all(
+                ring.is_monomial(exps, 1) and is_exact(c) for exps, c in root.items()
+            ):
+                raise ValueError(
+                    f"ring {ring.name}: Chern root {root!r} is not a degree 1 class in {ring.gens}"
+                    " with int or Fraction coefficients"
+                )
         if len(roots) > rank:
             raise ValueError("more Chern roots than the rank allows")
         self.ring = ring

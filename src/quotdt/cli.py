@@ -5,9 +5,9 @@ Five subcommands: `toric` (DT series with closed-formula verdict), `vertex`
 numbers), `cobordism` (phi-basis decomposition and double point relation
 checks) and `macmahon` (series expansions).
 
-A command runs only the modules it reads.  _lazy registers conventions,
-partitions, vertex, toric and chern at import, and runs each one's code on
-its first attribute access: `macmahon` runs cli, errors and series; `toric`
+A command runs only the modules it reads.  The package registers its
+modules lazily, so the names bound below run no module code until their
+first attribute access: `macmahon` runs cli, errors and series; `toric`
 and `vertex` add toric, vertex, partitions, record and conventions; `chern`
 and `cobordism` add chern, partitions, record and conventions, and `chern`
 on a built-in toric space adds toric and vertex for its localization check.
@@ -25,41 +25,15 @@ failure, 3 oracle mismatch.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import random
 import sys
 import time
 from fractions import Fraction
 
+from . import chern, conventions, partitions, toric, vertex
 from .errors import QuotDTError, check_size
 from .series import dt_closed_formula, macmahon, series_pow
-
-
-def _lazy(name: str):
-    """The sibling module quotdt.<name>, whose code runs on its first attribute access.
-
-    The module is registered in sys.modules and on the package at once, so
-    an import of quotdt.<name> anywhere yields this one object; a module that
-    is already in sys.modules is returned unchanged.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-conventions = _lazy("conventions")
-partitions = _lazy("partitions")
-vertex = _lazy("vertex")
-toric = _lazy("toric")
-chern = _lazy("chern")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -9,6 +9,8 @@ twists of split bundles, torus parameters and the boxes of plane partitions
 all enter through it.
 """
 
+from fractions import Fraction
+
 
 class QuotDTError(Exception):
     """Base class for all package errors."""
@@ -44,6 +46,11 @@ class NonIntegralError(QuotDTError):
 
 class SingularBasisMatrixError(QuotDTError):
     """The cobordism basis matrix was singular over the rationals."""
+
+
+def is_exact(value) -> bool:
+    """value is an exact number: an int but not a bool, or a Fraction."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def check_int(value, what: str) -> int:

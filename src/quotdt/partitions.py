@@ -135,6 +135,8 @@ def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     gives one unit to the part after it, and that part takes the tail's sum,
     which is the last part, since the parts between are zero.
     """
+    check_size(n, "size")
+    check_size(k, "number of parts")
     if k == 0:
         if n == 0:
             yield ()

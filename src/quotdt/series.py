@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonIntegralError, check_int, check_rank, check_size
+from .errors import NonIntegralError, check_int, check_rank, check_size, is_exact
 
 
 class Series:
@@ -107,9 +107,9 @@ class Series:
 
 
 def _exact(c) -> Fraction:
-    """A coefficient as a Fraction; TypeError for a float, which is not exact."""
-    if isinstance(c, float):
-        raise TypeError(f"series coefficient {c!r} is a float; use int or Fraction")
+    """An exact coefficient (errors.is_exact) as a Fraction; otherwise a TypeError naming its type."""
+    if not is_exact(c):
+        raise TypeError(f"series coefficient {c!r} is a {type(c).__name__}; use int or Fraction")
     return Fraction(c)
 
 

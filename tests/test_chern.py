@@ -161,6 +161,27 @@ def test_ring_refuses_an_integral_key_that_is_not_a_degree_three_monomial(gens, 
         C.ChernRing("typo", gens, {key: 1}, [])
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1", None])
+def test_ring_refuses_an_integral_that_is_not_an_int_or_a_fraction(value):
+    # 0.5 gave float Chern numbers and True was read as 1
+    with pytest.raises(ValueError) as got:
+        C.ChernRing("x", ("h",), {(3,): value}, [])
+    assert str(got.value) == f"ring x: integral {value!r} of (3,) is not an int or a Fraction"
+
+
+@pytest.mark.parametrize("root", [
+    {(1,): 0.5}, {(1,): True}, {(1, 0, 0): 2}, {(0,): 1}, {(2,): 1}, {(-1,): 1}, "h", ((1,), 1),
+])
+def test_bundle_refuses_a_root_that_is_not_an_exact_degree_one_class(root):
+    # a float root gave a mixed vector of floats, and zip cut (1, 0, 0) to h
+    with pytest.raises(ValueError) as got:
+        C.BundleClass(C.named_ring("p3"), 1, [root])
+    assert str(got.value) == (
+        f"ring p3: Chern root {root!r} is not a degree 1 class in ('h1',)"
+        " with int or Fraction coefficients"
+    )
+
+
 # Chern numbers of every named ring, frozen: (c3_t_omega, euler_characteristic,
 # and the mixed Chern vectors of the split bundles of rank 1, 2, 3 whose
 # summands twist the generators by _FROZEN_TWISTS[:rank], cut to the ring's
@@ -323,6 +344,7 @@ def test_bundle_class_basics():
     assert bundle.chern(1) == ring.scale(h, 2)
     assert not bundle.chern(2)
     assert bundle.chern(0) == ring.one()
+    assert C.BundleClass(ring, 2, ({(1,): 2},)).total == bundle.total  # an int coefficient
     with pytest.raises(ValueError):
         C.BundleClass(ring, 0, ())
     with pytest.raises(ValueError):

@@ -748,3 +748,21 @@ def test_each_module_name_has_one_module_object(first, then):
         "assert isinstance(builtin_space('p3'), cli.toric.ToricSpace)",
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_registers_its_modules_without_running_them():
+    # the library side of the registry: `import quotdt` alone binds each
+    # engine module on the package, and none runs before its first read
+    engine = ("chern", "conventions", "errors", "partitions", "series", "toric", "vertex")
+    proc = _python(
+        "import sys, types",
+        "import quotdt",
+        "assert quotdt.toric is sys.modules['quotdt.toric']",
+        f"for name in {engine!r}:",
+        "    assert type(sys.modules['quotdt.' + name]) is not types.ModuleType, name",
+        "assert callable(quotdt.toric.dt_series)",
+        "assert type(sys.modules['quotdt.toric']) is types.ModuleType",
+        "assert quotdt.named_ring is quotdt.chern.named_ring",
+        "assert quotdt.named_ring.__module__ == 'quotdt.chern'",
+    )
+    assert proc.returncode == 0, proc.stderr

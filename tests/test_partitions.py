@@ -152,6 +152,21 @@ def test_compositions():
     assert len(tuple(compositions(1, 1000))) == 1000
 
 
+@pytest.mark.parametrize("n, k, message", [
+    (-1, 2, "size must be nonnegative"),
+    (2.5, 2, "size 2.5 is not an integer"),
+    (True, 2, "size True is not an integer"),
+    (2, -1, "number of parts must be nonnegative"),
+    (2, 2.0, "number of parts 2.0 is not an integer"),
+])
+def test_compositions_refuse_a_bad_size_or_count(n, k, message):
+    # (-1, 2) and (2.5, 2) never stopped, and (2, -1) gave (2,); the
+    # generator checks on its first step
+    with pytest.raises(ValueError) as got:
+        next(compositions(n, k))
+    assert str(got.value) == message
+
+
 def test_enum_colored_counts():
     # r-tuples with total n: convolution of plane partition counts
     for r in (1, 2, 3):

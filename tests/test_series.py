@@ -253,6 +253,19 @@ def test_empty_series_is_refused():
         Series(())
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ([1, True], "series coefficient True is a bool; use int or Fraction"),
+    ([1, "2"], "series coefficient '2' is a str; use int or Fraction"),
+    (["1e3"], "series coefficient '1e3' is a str; use int or Fraction"),
+    ([1, None], "series coefficient None is a NoneType; use int or Fraction"),
+])
+def test_only_int_and_fraction_coefficients_are_accepted(coeffs, message):
+    # a str went through Fraction(str), so "1e3" read as 1000
+    with pytest.raises(TypeError) as got:
+        Series(coeffs)
+    assert str(got.value) == message
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         Series((1, 2)) * Series((1, 2, 3))
