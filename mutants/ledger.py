@@ -124,4 +124,16 @@ MUTANTS = (
             "tests/test_cli.py::test_the_package_registers_its_modules_without_running_them",
         ),
     ),
+    # the registry registers every module again on a reload: a second module
+    # object for quotdt.toric, and with it a second ToricSpace
+    Mutant(
+        "__init__.py", "if _module is None:", "if True:",
+        oracles=("tests/test_cli.py::test_reload_keeps_the_registered_module_objects",),
+    ),
+    # a series takes an assignment to coeffs, so its hash can change
+    Mutant(
+        "series.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        oracles=("tests/test_series.py::test_series_are_immutable_and_copy_through_init",),
+    ),
 )

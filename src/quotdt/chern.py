@@ -222,6 +222,8 @@ class BundleClass:
 
     def __init__(self, ring: ChernRing, rank: int, roots=()):
         check_rank(rank)
+        if not isinstance(roots, (tuple, list)):
+            raise ValueError(f"ring {ring.name}: Chern roots {roots!r} are not a tuple or a list")
         roots = tuple(roots)
         for root in roots:
             if not isinstance(root, Mapping) or not all(
@@ -280,6 +282,8 @@ def mixed_monomials(rank: int) -> tuple[tuple[tuple[int, int, int], tuple[int, i
     f-degree, then lexicographically in a, then in b, which puts the pure
     tangent monomials c3, c1c2, c1^3 first.
     """
+    check_rank(rank)
+
     def degree(e):
         return e[0] + 2 * e[1] + 3 * e[2]
 

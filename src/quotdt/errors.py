@@ -88,10 +88,13 @@ def check_vector(value, size: int, what: str) -> tuple[int, ...]:
 def read_twists(twists, entries: int, owner: str) -> tuple[tuple[int, ...], ...]:
     """One tuple of integer degrees per summand, `entries` degrees each.
 
-    A twist is an int, read as one degree, or a tuple or list of degrees,
-    one per polytope factor or ring generator of owner; each is checked as
-    a vector in Z^entries named `<owner> twist`.
+    twists is a tuple or a list with one twist per summand.  A twist is an
+    int, read as one degree, or a tuple or list of degrees, one per polytope
+    factor or ring generator of owner; each is checked as a vector in
+    Z^entries named `<owner> twist`.
     """
+    if not isinstance(twists, (tuple, list)):
+        raise ValueError(f"{owner} twists {twists!r} are not a tuple or a list")
     out = tuple(
         check_vector(t if isinstance(t, (tuple, list)) else (t,), entries, f"{owner} twist")
         for t in twists

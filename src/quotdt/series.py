@@ -41,6 +41,17 @@ class Series:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
 
+    # hashable, so immutable, with Record's messages; a copy or a pickle is
+    # rebuilt through __init__, which checks the coefficients
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Series, (self.coeffs,)
+
     # -- inspection -------------------------------------------------------
 
     @property

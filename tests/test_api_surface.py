@@ -3,8 +3,10 @@
 A member of src/quotdt passes when the package itself refers to it, when
 README's Library section names it in code, or when perfbench/tracer.py
 reads it; otherwise it must be on ALLOWED, with the reason it stays.  The
-package refers to a function or class by a name, an attribute or a string
-(`_EXPORTS` lists names as strings), and to a method only by an attribute.
+package refers to a function or class by a name or an attribute, and to a
+method only by an attribute; a name in a string of the package (a docstring,
+an error message) is no reader.  The tracer also reads by string, since it
+names what it wraps as "vertex.vertex_character".
 Members are matched by name alone, so any attribute of the same name counts
 (`args.power` in the CLI would hide a method `power`).  Protocol dunders
 (`__init__`, `__eq__`, `__hash__`, `__repr__`, ...) are exempt: Python calls
@@ -62,14 +64,14 @@ def _members(tree: ast.Module, module: str):
                         yield f"{module}.{node.name}.{name}", name, True
 
 
-def _references(tree: ast.Module, names: set, attributes: set) -> None:
-    """Add the names read, the attributes and the dotted parts of the strings in tree."""
+def _references(tree: ast.Module, names: set, attributes: set, strings: bool = False) -> None:
+    """Add the names read and the attributes in tree, and with strings its strings' dotted parts."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(node.value.split("."))
 
 
@@ -89,7 +91,7 @@ def test_every_member_has_a_reader():
         members += _members(tree, path.stem)
         _references(tree, names, attributes)
     _references(ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8")),
-                names, attributes)
+                names, attributes, strings=True)
     library = _library_names()
     unread = [
         qualified for qualified, name, method in members

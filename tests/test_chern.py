@@ -295,6 +295,33 @@ def test_mixed_monomial_order():
     assert len(C.mixed_monomials(5)) == 10  # saturates at rank 3
 
 
+def test_split_bundle_class_refuses_twists_that_are_not_a_sequence():
+    # an int was iterated and raised TypeError
+    with pytest.raises(ValueError) as got:
+        C.split_bundle_class(C.named_ring("p3"), 1)
+    assert str(got.value) == "p3 twists 1 are not a tuple or a list"
+
+
+def test_bundle_class_refuses_roots_that_are_not_a_sequence():
+    # an int was iterated and raised TypeError
+    with pytest.raises(ValueError) as got:
+        C.BundleClass(C.named_ring("p3"), 1, 5)
+    assert str(got.value) == "ring p3: Chern roots 5 are not a tuple or a list"
+
+
+@pytest.mark.parametrize("rank, message", [
+    (0, "rank must be at least 1"),
+    (-2, "rank must be at least 1"),
+    (1.5, "rank 1.5 is not an integer"),
+])
+def test_mixed_monomials_and_reconstruct_refuse_a_bad_rank(rank, message):
+    # both read the rank through check_rank, so neither answers for rank 0
+    for build in (lambda: C.mixed_monomials(rank), lambda: C.reconstruct({}, rank)):
+        with pytest.raises(ValueError) as got:
+            build()
+        assert str(got.value) == message
+
+
 def test_phi_class_vectors_frozen():
     cases = [
         ((3,), (), (4, 24, 64, 0, 0, 0, 0)),

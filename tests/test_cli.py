@@ -680,11 +680,10 @@ _RAN = (
 
 
 def test_cli_import_skips_unused_modules():
-    # cli defers every engine module, and the package resolves its
-    # re-exports on first access, so the import runs only what every command
-    # needs.  The value types are slotted records, so dataclasses and the
-    # inspect it pulls in stay out unless the interpreter's own start-up
-    # loaded them.
+    # the package registers every engine module without running it, so the
+    # import runs only what every command needs.  The value types are
+    # slotted records, so dataclasses and the inspect it pulls in stay out
+    # unless the interpreter's own start-up loaded them.
     proc = _python(
         "import sys, types",
         "before = set(sys.modules)",
@@ -698,7 +697,7 @@ def test_cli_import_skips_unused_modules():
         "'quotdt.toric', 'quotdt.vertex'], lazy",
         "assert 'concurrent.futures' not in sys.modules, 'futures'",
         "assert all(getattr(quotdt, name) is not None for name in quotdt.__all__)",
-        "assert quotdt.named_ring.__module__ == 'quotdt.chern'",
+        "assert quotdt.chern.named_ring.__module__ == 'quotdt.chern'",
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -762,7 +761,39 @@ def test_the_package_registers_its_modules_without_running_them():
         "    assert type(sys.modules['quotdt.' + name]) is not types.ModuleType, name",
         "assert callable(quotdt.toric.dt_series)",
         "assert type(sys.modules['quotdt.toric']) is types.ModuleType",
-        "assert quotdt.named_ring is quotdt.chern.named_ring",
-        "assert quotdt.named_ring.__module__ == 'quotdt.chern'",
+        "assert not hasattr(quotdt, 'named_ring')",
+        "assert quotdt.chern.named_ring.__module__ == 'quotdt.chern'",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_binds_the_modules_without_running_them():
+    # __all__ names the seven modules and nothing else: a function is read
+    # through its module, and the star import binds each one still lazy
+    engine = ("chern", "conventions", "errors", "partitions", "series", "toric", "vertex")
+    proc = _python(
+        "import sys, types",
+        "from quotdt import *",
+        "import quotdt",
+        f"for name in {engine!r}:",
+        "    m = globals()[name]",
+        "    assert m is sys.modules['quotdt.' + name] is getattr(quotdt, name), name",
+        "    assert type(m) is not types.ModuleType, name",
+        f"assert sorted(quotdt.__all__) == {sorted(engine)!r}",
+        "assert not hasattr(quotdt, 'dt_series')",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_reload_keeps_the_registered_module_objects():
+    # a second module object for quotdt.toric would bring a second ToricSpace
+    proc = _python(
+        "import importlib, sys",
+        "import quotdt, quotdt.cli",
+        "t = quotdt.toric",
+        "importlib.reload(quotdt)",
+        "assert quotdt.toric is t",
+        "assert quotdt.cli.toric is sys.modules['quotdt.toric'] is t",
+        "assert isinstance(quotdt.toric.builtin_space('p3'), quotdt.cli.toric.ToricSpace)",
     )
     assert proc.returncode == 0, proc.stderr

@@ -3,9 +3,11 @@
 Each `quotdt ...` line of a ```sh block in README.md runs through cli.main,
 and the sha256 of its stdout must equal the digest recorded here.  A new
 README command needs its digest added; a changed digest means the report
-bytes changed.
+bytes changed.  The code of README's Library section runs too, and each
+series it computes must equal the value its comment states.
 """
 
+import ast
 import hashlib
 import re
 import shlex
@@ -52,3 +54,28 @@ def test_readme_command_stdout_is_unchanged(line, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[line]
+
+
+def _render(series) -> str:
+    """A series as README writes it: 1 - 40q + 700q^2, zero terms left out."""
+    coeffs = series.integer_coeffs()
+    text = str(coeffs[0])
+    for n, c in enumerate(coeffs[1:], 1):
+        if c:
+            text += f" {'-' if c < 0 else '+'} {abs(c)}q" + (f"^{n}" if n > 1 else "")
+    return text
+
+
+def test_library_section_computes_its_commented_values():
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    rendered = [_render(value) for value in values]
+    assert rendered == ["1 + 20q + 150q^2 + 400q^3", "1 - 40q + 700q^2", "1 - 40q + 700q^2"]
+    assert all(text in block for text in rendered)  # the comments state them

@@ -1,5 +1,7 @@
 """Truncated series arithmetic against naive oracles, plus frozen expansions."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -279,3 +281,14 @@ def test_float_coefficients_are_refused():
         with pytest.raises(TypeError, match="cannot be combined with float"):
             combine(Series((1, 2)))
 
+
+def test_series_are_immutable_and_copy_through_init():
+    # a series is hashable, so changing its coefficients would change its hash
+    s = macmahon(3)
+    with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+        s.coeffs = (1, 2)
+    with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+        del s.coeffs
+    assert s.coeffs == (1, 1, 3, 6)
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin == s and hash(twin) == hash(s)

@@ -371,6 +371,13 @@ def test_split_bundle_validation():
         SplitBundle(2, (((0, 0, 0),),))
 
 
+def test_split_bundle_refuses_twists_that_are_not_a_sequence():
+    # an int was iterated and raised TypeError
+    with pytest.raises(ValueError) as got:
+        split_bundle(builtin_space("p3"), 1)
+    assert str(got.value) == "p3 twists 1 are not a tuple or a list"
+
+
 def test_chart_of_consistency():
     p3 = builtin_space("p3")
     bundle = split_bundle(p3, [1])
