@@ -130,9 +130,10 @@ MUTANTS = (
         "__init__.py", "if _module is None:", "if True:",
         oracles=("tests/test_cli.py::test_reload_keeps_the_registered_module_objects",),
     ),
-    # a series takes an assignment to coeffs, so its hash can change
+    # a Record, a series included, takes an assignment to a field, so a
+    # series's hash can change with its coeffs
     Mutant(
-        "series.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+        "errors.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
         "object.__setattr__(self, name, value)",
         oracles=("tests/test_series.py::test_series_are_immutable_and_copy_through_init",),
     ),

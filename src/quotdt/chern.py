@@ -28,10 +28,10 @@ from typing import Mapping
 
 from . import conventions
 from .errors import (
-    NonIntegralError, SingularBasisMatrixError, check_int, check_rank, is_exact, read_twists,
+    NonIntegralError, Record, SingularBasisMatrixError, check_int, check_rank, is_exact,
+    read_twists,
 )
 from .partitions import PartitionPair, enum_partition_pairs
-from .record import Record
 
 Element = dict  # exponent tuple -> Fraction
 
@@ -345,18 +345,13 @@ def solve_exact(matrix, rhs):
 def basis_matrix(rank: int):
     """Partition pairs of size 3 and the matrix of their mixed Chern vectors.
 
-    Column j is the vector of the j-th pair, so the matrix is square of size
-    7, 9, 10 for rank 1, 2, >= 3.
+    Column j is the vector of the j-th pair.  The pairs number as many as the
+    mixed monomials, so the matrix is square, of size 7, 9, 10 for rank 1, 2,
+    >= 3.
     """
     pairs = enum_partition_pairs(DIM, rank)
     columns = [mixed_chern_vector(*phi_class(p.lam, p.mu, rank)) for p in pairs]
-    size = len(mixed_monomials(rank))
-    if len(pairs) != size:
-        raise SingularBasisMatrixError(
-            f"{len(pairs)} pairs against {size} monomials cannot form a square system"
-        )
-    matrix = [[columns[j][i] for j in range(len(pairs))] for i in range(size)]
-    return pairs, matrix
+    return pairs, list(zip(*columns))
 
 
 def decompose(ring: ChernRing, bundle: BundleClass) -> dict[PartitionPair, Fraction]:

@@ -8,9 +8,9 @@ checks) and `macmahon` (series expansions).
 A command runs only the modules it reads.  The package registers its
 modules lazily, so the names bound below run no module code until their
 first attribute access: `macmahon` runs cli, errors and series; `toric`
-and `vertex` add toric, vertex, partitions, record and conventions; `chern`
-and `cobordism` add chern, partitions, record and conventions, and `chern`
-on a built-in toric space adds toric and vertex for its localization check.
+and `vertex` add toric, vertex, partitions and conventions; `chern` and
+`cobordism` add chern, partitions and conventions, and `chern` on a
+built-in toric space adds toric and vertex for its localization check.
 
 Each cmd_* returns its inputs, values, verdicts and exit code, and main
 builds the report {command, inputs, seed, values, verdicts} from them; bad

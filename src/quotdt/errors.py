@@ -1,12 +1,15 @@
-"""Error taxonomy shared by the whole package, and the input checks.
+"""Error taxonomy shared by the whole package, the input checks, and Record.
 
 Every failure mode that the math can produce has its own class so callers
 (and the CLI exit-code mapping) can react precisely.  Bad input is a
-ValueError, raised where it enters by one of the checks at the end, which
+ValueError, raised where it enters by one of the checks that follow, which
 every entry point and constructor calls.  check_vector is the one check of
 a lattice vector: tangent and bundle characters, twist vertices, the
 twists of split bundles, torus parameters and the boxes of plane partitions
 all enter through it.
+
+Record, at the end, is the immutable slotted base of the package's value
+types, series included.
 """
 
 from fractions import Fraction
@@ -63,14 +66,14 @@ def check_int(value, what: str) -> int:
 def check_rank(rank) -> int:
     """rank if it is an int of at least 1; otherwise a ValueError."""
     if check_int(rank, "rank") < 1:
-        raise ValueError("rank must be at least 1")
+        raise ValueError(f"rank {rank!r} must be at least 1")
     return rank
 
 
 def check_size(value, what: str) -> int:
     """value if it is an int of at least 0, such as a size or a series order."""
     if check_int(value, what) < 0:
-        raise ValueError(f"{what} must be nonnegative")
+        raise ValueError(f"{what} {value!r} must be nonnegative")
     return value
 
 
@@ -102,3 +105,44 @@ def read_twists(twists, entries: int, owner: str) -> tuple[tuple[int, ...], ...]
     if not out:
         raise ValueError("at least one summand is required")
     return out
+
+
+class Record:
+    """An immutable slotted record.
+
+    A subclass names its fields in __slots__, in constructor order, and its
+    __init__ sets them once through _set, which keeps their values as the key
+    that equality, repr and pickling read.  The key's hash is computed on
+    first use and stored, so an lru_cache lookup reads one slot.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._key))
+            return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, which validates; the hash is recomputed
+        return self.__class__, self._key
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{self.__class__.__qualname__}({fields})"

@@ -14,8 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Tuple
 
-from .errors import check_rank, check_size, check_vector
-from .record import Record
+from .errors import Record, check_rank, check_size, check_vector
 
 Box = Tuple[int, int, int]
 Partition = Tuple[int, ...]

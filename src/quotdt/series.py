@@ -29,28 +29,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NonIntegralError, check_int, check_rank, check_size, is_exact
+from .errors import NonIntegralError, Record, check_int, check_rank, check_size, is_exact
 
 
-class Series:
+class Series(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
         cs = tuple(map(_exact, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
-
-    # hashable, so immutable, with Record's messages; a copy or a pickle is
-    # rebuilt through __init__, which checks the coefficients
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Series, (self.coeffs,)
+        self._set(cs)
 
     # -- inspection -------------------------------------------------------
 
@@ -66,12 +55,6 @@ class Series:
                 raise NonIntegralError(f"coefficient of q^{n} is {c}")
             out.append(c.numerator)
         return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return "Series" + repr(tuple(str(c) for c in self.coeffs))

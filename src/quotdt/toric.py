@@ -31,6 +31,7 @@ from .conventions import BUILTIN_SPACES
 from .errors import (
     NonIntegralError,
     ParameterDependenceError,
+    Record,
     ZeroWeightError,
     check_int,
     check_rank,
@@ -39,7 +40,6 @@ from .errors import (
     read_twists,
 )
 from .partitions import enum_colored
-from .record import Record
 from .series import Series
 from .vertex import ChartWeights, EquivParams, chart_sums, check_unimodular
 

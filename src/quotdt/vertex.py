@@ -81,9 +81,8 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul, sub
 
-from .errors import NonzeroFixedPartError, ZeroWeightError, check_size, check_vector
+from .errors import NonzeroFixedPartError, Record, ZeroWeightError, check_size, check_vector
 from .partitions import ColoredPlanePartition, enum_colored
-from .record import Record
 
 Vec3 = tuple[int, int, int]
 

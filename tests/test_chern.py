@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 from quotdt import chern as C, conventions
-from quotdt.errors import NonIntegralError, SingularBasisMatrixError
+from quotdt.errors import NonIntegralError, Record, SingularBasisMatrixError
 from quotdt.partitions import PartitionPair, enum_partition_pairs
-from quotdt.record import Record
 
 
 # -- ring presentations -----------------------------------------------------
@@ -34,6 +33,8 @@ def test_projective_space_ring():
     assert c1 == ring.scale(h, 4)
     assert c2 == ring.scale(ring.product([h] * 2), 6)
     assert c3 == ring.scale(ring.product([h] * 3), 4)
+    # zero times an element is the empty element, not zero coefficients
+    assert ring.scale(c3, 0) == {}
 
 
 def test_product_ring_integrals():
@@ -310,8 +311,8 @@ def test_bundle_class_refuses_roots_that_are_not_a_sequence():
 
 
 @pytest.mark.parametrize("rank, message", [
-    (0, "rank must be at least 1"),
-    (-2, "rank must be at least 1"),
+    (0, "rank 0 must be at least 1"),
+    (-2, "rank -2 must be at least 1"),
     (1.5, "rank 1.5 is not an integer"),
 ])
 def test_mixed_monomials_and_reconstruct_refuse_a_bad_rank(rank, message):

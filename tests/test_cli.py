@@ -136,8 +136,14 @@ def test_config_errors(tmp_path, capsys):
 
     wrong_command = tmp_path / "c.cfg"
     wrong_command.write_text("command=chern\n")
-    code, _, err = run(capsys, "toric", "--config", str(wrong_command), "--nmax", "0")
-    assert code == 1 and "config names command" in err
+    code, out, err = run(capsys, "toric", "--config", str(wrong_command), "--nmax", "0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: config names command 'chern', got 'toric'\n"
+    # a config that names the command it is given to runs as the flags alone
+    same_command = tmp_path / "d.cfg"
+    same_command.write_text("command = toric\nspace = p3\n")
+    via_config = run(capsys, "toric", "--config", str(same_command), "--nmax", "1")
+    assert via_config == run(capsys, "toric", "--space", "p3", "--nmax", "1")
 
     missing = tmp_path / "nope.cfg"
     code, _, err = run(capsys, "toric", "--config", str(missing), "--nmax", "0")
@@ -351,6 +357,10 @@ def test_bundle_chart_explicit_characters(capsys):
         argv += ["--bundle-chart", "0,0,0"]
     report = run_json(capsys, *argv)
     assert report["values"]["series"] == [1, 20]
+    # one character per chart of the space, for toric and vertex alike
+    for command in ("toric", "vertex"):
+        code, out, err = run(capsys, command, *argv[1:-2])
+        assert (code, out, err) == (1, "", "usage error: 3 bundle charts for 4 space charts\n")
 
 
 def test_bundle_and_bundle_chart_are_exclusive(tmp_path, capsys):
@@ -479,7 +489,7 @@ def test_vertex_refuses_negative_nmax(capsys):
                  ("macmahon",)):
         code, out, err = run(capsys, *argv, "--nmax", "-3")
         assert (code, out) == (1, ""), argv
-        assert err == "usage error: --nmax must be nonnegative\n", argv
+        assert err == "usage error: --nmax -3 must be nonnegative\n", argv
 
 
 def test_vertex_refuses_a_chart_index_out_of_range(capsys):
@@ -630,7 +640,7 @@ def test_rank_zero_is_refused_by_every_command(capsys):
                  ("toric", "--space", "p3", "--nmax", "1"), ("vertex", "--space", "p3")):
         code, out, err = run(capsys, *argv, "--rank", "0")
         assert (code, out) == (1, ""), argv
-        assert "rank must be at least 1" in err, argv
+        assert "rank 0 must be at least 1" in err, argv
 
 
 def test_a_rank_of_a_thousand_is_no_recursion_failure(capsys):
@@ -707,12 +717,10 @@ def test_cli_import_skips_unused_modules():
     [
         (["macmahon", "--nmax", "3"], []),
         (["toric", "--space", "p3", "--nmax", "2"],
-         ["conventions", "partitions", "record", "toric", "vertex"]),
-        (["chern", "--space", "quadric"], ["chern", "conventions", "partitions", "record"]),
-        (["chern", "--space", "p3"],
-         ["chern", "conventions", "partitions", "record", "toric", "vertex"]),
-        (["cobordism", "--builtin", "quadric-dpr"],
-         ["chern", "conventions", "partitions", "record"]),
+         ["conventions", "partitions", "toric", "vertex"]),
+        (["chern", "--space", "quadric"], ["chern", "conventions", "partitions"]),
+        (["chern", "--space", "p3"], ["chern", "conventions", "partitions", "toric", "vertex"]),
+        (["cobordism", "--builtin", "quadric-dpr"], ["chern", "conventions", "partitions"]),
     ],
 )
 def test_a_command_runs_only_the_modules_it_reads(argv, runs):

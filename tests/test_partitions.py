@@ -153,10 +153,10 @@ def test_compositions():
 
 
 @pytest.mark.parametrize("n, k, message", [
-    (-1, 2, "size must be nonnegative"),
+    (-1, 2, "size -1 must be nonnegative"),
     (2.5, 2, "size 2.5 is not an integer"),
     (True, 2, "size True is not an integer"),
-    (2, -1, "number of parts must be nonnegative"),
+    (2, -1, "number of parts -1 must be nonnegative"),
     (2, 2.0, "number of parts 2.0 is not an integer"),
 ])
 def test_compositions_refuse_a_bad_size_or_count(n, k, message):

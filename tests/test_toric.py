@@ -127,6 +127,15 @@ def test_c3_values():
     assert c3_via_localization(builtin_space("p1cubed")) == -16
 
 
+def test_c3_refuses_a_non_integral_localization_sum(monkeypatch):
+    # unimodular charts have primitive weights, so a parameter independent
+    # sum is an integer; a third of p3's sum stands in for a wrong one
+    evaluate = toric._evaluate_at_samples
+    monkeypatch.setattr(toric, "_evaluate_at_samples", lambda *args: evaluate(*args) / 3)
+    with pytest.raises(NonIntegralError, match="^localization sum -20/3 is not an integer$"):
+        c3_via_localization(builtin_space("p3"))
+
+
 def test_dt_series_rank_one_frozen():
     p3 = builtin_space("p3")
     assert dt_series(p3, trivial_bundle(p3), 3).integer_coeffs() == (1, 20, 150, 400)
@@ -261,7 +270,7 @@ def test_every_size_and_order_is_checked_where_it_enters(bad):
         "size": [lambda n: enum_colored(n, 1)],
         "n": [enum_plane_partitions, partitions_of],
     }
-    message = "must be nonnegative" if bad == -1 else f"{bad!r} is not an integer"
+    message = f"{bad!r} " + ("must be nonnegative" if bad == -1 else "is not an integer")
     for name, entries in calls.items():
         for call in entries:
             with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
