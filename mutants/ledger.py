@@ -27,6 +27,18 @@ class Mutant(NamedTuple):
     pinned: tuple[str, ...] = ()
 
 
+# the README commands that print JSON; each report holds a flat tuple, which
+# the table format prints as a comma-separated row
+_TABLE_COMMANDS = (
+    "quotdt toric --space p3 --bundle O --nmax 3 --seed 7",
+    "quotdt vertex --space p3 --rank 2 --nmax 2 --chart-index 0",
+    "quotdt chern --space pbundle-p2-1",
+    "quotdt chern --space prod:2.1 --bundle O2.1",
+    "quotdt cobordism --builtin quadric-dpr",
+    "quotdt cobordism --space prod:3 --bundle O2 --rank 1",
+    "quotdt macmahon --nmax 8 --power -20 --negate-q",
+)
+
 # the oracles that catch a wrong off-diagonal block U_jk (j != k)
 _OFF_DIAGONAL_ORACLES = (
     "tests/test_toric.py::test_rank_reduction_per_chart[p3-twists0-4]",
@@ -114,6 +126,19 @@ MUTANTS = (
         '["*".join(f"{x}{i}" + (f"^{e}" if e > 1 else "") for x, exps in (("c", a), ("f", b))'
         " for i, e in enumerate(exps, 1) if e) for a, b in",
         oracles=("tests/test_api_surface.py::test_every_member_has_a_reader",),
+    ),
+    # the table walker takes a tuple for a scalar: the engine's tuples print
+    # as "(1, 20, ...)" instead of "1, 20, ..."
+    Mutant(
+        "cli.py", "elif not isinstance(value, (list, tuple)):", "elif not isinstance(value, list):",
+        oracles=(),
+        pinned=(
+            "tests/test_readme_commands.py::test_readme_command_stdout_is_unchanged"
+            "[quotdt toric --space p2xp1 --bundle O2.-1 --nmax 2 --format table]",
+            *("tests/test_readme_commands.py::test_readme_command_in_the_other_format_is_unchanged"
+              f"[{line}]" for line in _TABLE_COMMANDS),
+            "tests/test_cli.py::test_render_report_writes_fractions_and_refuses_other_objects",
+        ),
     ),
     # the registry loads each module eagerly: `import quotdt` runs them all
     Mutant(

@@ -15,6 +15,8 @@ built-in toric space adds toric and vertex for its localization check.
 Each cmd_* returns its inputs, values, verdicts and exit code, and main
 builds the report {command, inputs, seed, values, verdicts} from them; bad
 input is a ValueError wherever it is raised, and main maps it to exit 1.
+The commands hand the engine's own ints, tuples and Fractions to
+render_report, whose one json hook writes a Fraction as its string 'p/q'.
 Reports are emitted as JSON (default) or a flat key=value table.  Identical
 configuration and seed give byte-identical output; the optional --timing flag
 adds a wall-clock field and therefore breaks byte determinism, so it is off
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -169,12 +170,8 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
         return args
     data = load_config(args.config)
     for key, values in data.items():
-        if key == "command":
-            if values != [args.command]:
-                raise ValueError(f"config names command {values[0]!r}, got {args.command!r}")
-            continue
         action = parser.options.get(key)
-        if action is None or key in ("help", "config"):
+        if (action is None and key != "command") or key in ("help", "config"):
             raise ValueError(f"unknown config key {key!r} for {args.command}")
         current = getattr(args, key)
         if key in parser.appends:
@@ -184,6 +181,10 @@ def merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespac
         if len(values) > 1:
             raise ValueError(f"config key {key!r} given more than once")
         value = values[0]
+        if key == "command":
+            if value != current:
+                raise ValueError(f"config names command {value!r}, got {current!r}")
+            continue
         if action.nargs == 0:
             if value.lower() not in _FLAG_VALUES:
                 raise ValueError(f"config key {key!r} wants a boolean, got {value!r}")
@@ -287,34 +288,31 @@ def resolve_ring_bundle(args):
 # -- report rendering -------------------------------------------------------
 
 
-def _jsonable(value):
+def _fraction_str(value):
+    """json's hook for the one engine type it cannot write: a Fraction as 'p/q'."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_report(report: dict, fmt: str) -> str:
-    payload = _jsonable(report)
     if fmt == "json":
-        return json.dumps(payload, indent=2, ensure_ascii=False)
+        return json.dumps(report, indent=2, ensure_ascii=False, default=_fraction_str)
     lines = []
 
     def walk(prefix, value):
         if isinstance(value, dict):
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else k, v)
-        elif isinstance(value, list) and all(not isinstance(v, (list, dict)) for v in value):
-            lines.append(f"{prefix} = {', '.join(str(v) for v in value)}")
-        elif isinstance(value, list):
-            lines.append(f"{prefix} = {json.dumps(value, ensure_ascii=False)}")
-        else:
+        elif not isinstance(value, (list, tuple)):
             lines.append(f"{prefix} = {value}")
+        elif any(isinstance(v, (list, tuple, dict)) for v in value):
+            nested = json.dumps(value, ensure_ascii=False, default=_fraction_str)
+            lines.append(f"{prefix} = {nested}")
+        else:
+            lines.append(f"{prefix} = {', '.join(map(str, value))}")
 
-    walk("", payload)
+    walk("", report)
     return "\n".join(lines)
 
 
@@ -332,9 +330,9 @@ def cmd_toric(args) -> tuple[dict, dict, dict, int]:
     space, bundle = resolve_space_bundle(args)
     trials = 2 if args.trials is None else args.trials
     series = toric.dt_series(space, bundle, args.nmax, seed=args.seed, trials=trials)
-    coeffs = list(series.integer_coeffs())
+    coeffs = series.integer_coeffs()
     c3 = toric.c3_via_localization(space, seed=args.seed, trials=trials)
-    closed = list(dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs())
+    closed = dt_closed_formula(bundle.rank, c3, args.nmax).integer_coeffs()
     counts = toric.count_fixed_points(space, bundle.rank, args.nmax)
     per_coeff = ["MATCH" if a == b else "MISMATCH" for a, b in zip(coeffs, closed)]
     matched = all(v == "MATCH" for v in per_coeff)
@@ -347,7 +345,7 @@ def cmd_toric(args) -> tuple[dict, dict, dict, int]:
         "threads": 1,  # the sum runs in one thread; kept in the pinned report
     }
     if args.chart:
-        inputs["charts"] = [list(map(list, c)) for c in space.charts]
+        inputs["charts"] = space.charts
     values = {
         "series": coeffs,
         "closed_formula": closed,
@@ -370,7 +368,7 @@ def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
     charts = [toric.chart_of(space, bundle, ci) for ci in indices]
 
     (params,), (sums,) = toric.draw_admissible(
-        bundle.rank, random.Random(args.seed), 1,
+        bundle.rank, args.seed, 1,
         lambda points: vertex.chart_sums(charts, bundle.rank, nmax, points),
     )
 
@@ -384,14 +382,10 @@ def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
                 char = vertex.vertex_character(cpp, chart)
                 if vertex.symmetry_defect(char):
                     symmetric = False
-                rows.append(
-                    {
-                        "partition": [list(map(list, part)) for part in cpp.parts],
-                        "character": [
-                            [list(e), c] for e, c in sorted(vertex.chart_terms(char).items())
-                        ],
-                    }
-                )
+                rows.append({
+                    "partition": [part.boxes for part in cpp.parts],
+                    "character": sorted(vertex.chart_terms(char).items()),
+                })
         tables[str(ci)] = rows
         contributions[str(ci)] = [row[position] for row in sums]
 
@@ -402,7 +396,7 @@ def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
         "chart_index": args.chart_index,
     }
     values = {
-        "params": {"s": list(params.s), "v": list(params.v)},
+        "params": {"s": params.s, "v": params.v},
         "contributions": contributions,
         "tables": tables,
     }
@@ -437,7 +431,7 @@ def cmd_chern(args) -> tuple[dict, dict, dict, int]:
         "c3_t_omega": chern.c3_t_omega(ring),
         "euler_characteristic": chern.euler_characteristic(ring),
         "monomials": labels,
-        "mixed_chern_vector": list(vector),
+        "mixed_chern_vector": vector,
     }
     verdicts = {}
     ok = True
@@ -464,11 +458,8 @@ def cmd_cobordism(args) -> tuple[dict, dict, dict, int]:
                 f"unknown built-in {args.builtin!r}; choose from {sorted(chern.BUILTIN_DPRS)}"
             ) from None
         result = chern.dpr_check(*quadruple)
-        inputs = {"builtin": args.builtin, "spaces": list(result.names)}
-        values = {
-            "exponents": list(result.exponents),
-            "vectors": [list(v) for v in result.vectors],
-        }
+        inputs = {"builtin": args.builtin, "spaces": result.names}
+        values = {"exponents": result.exponents, "vectors": result.vectors}
         verdicts = {
             "vector_identity": _verdict(result.vector_identity_ok),
             "exponent_identity": _verdict(result.exponent_identity_ok),
@@ -483,10 +474,10 @@ def cmd_cobordism(args) -> tuple[dict, dict, dict, int]:
     ok = rebuilt == vector
     values = {
         "basis_size": len(coeffs),
-        "pairs": [{"lam": list(p.lam), "mu": list(p.mu)} for p in coeffs],
+        "pairs": [{"lam": p.lam, "mu": p.mu} for p in coeffs],
         "coefficients": list(coeffs.values()),
-        "mixed_chern_vector": list(vector),
-        "reconstruction": list(rebuilt),
+        "mixed_chern_vector": vector,
+        "reconstruction": rebuilt,
     }
     verdicts = {"reconstructs": _verdict(ok)}
     return inputs, values, verdicts, EXIT_OK if ok else EXIT_INVARIANT
@@ -501,7 +492,7 @@ def cmd_macmahon(args) -> tuple[dict, dict, dict, int]:
     if args.negate_q:
         series = series.substitute_signed(-1)
     inputs = {"nmax": args.nmax, "power": power, "negate_q": bool(args.negate_q)}
-    values = {"coefficients": list(series.integer_coeffs())}
+    values = {"coefficients": series.integer_coeffs()}
     return inputs, values, {}, EXIT_OK
 
 

@@ -185,14 +185,16 @@ def sample_params(rank: int, rng: random.Random) -> EquivParams:
     )
 
 
-def draw_admissible(rank: int, rng: random.Random, count: int, compute):
+def draw_admissible(rank: int, seed: int, count: int, compute):
     """Draw count parameter points and evaluate them together; return the points and values.
 
+    The points come from one random.Random(seed), in the order they are drawn.
     compute takes the list of points and returns one value per point.  A
     ZeroWeightError names one point inadmissible by its position (point);
     that point alone is drawn again, and all are evaluated again.  After
     MAX_SAMPLE_ATTEMPTS draws of one point the error names its last failure.
     """
+    rng = random.Random(check_int(seed, "seed"))
     points = [sample_params(rank, rng) for _ in range(count)]
     draws = [1] * count
     while True:
@@ -212,8 +214,7 @@ def _evaluate_at_samples(rank: int, seed: int, trials: int, compute):
     """Evaluate compute at `trials` admissible parameter points at once; results must agree."""
     if check_int(trials, "trials") < 2:
         raise ValueError("at least two independent samples are required")
-    rng = random.Random(check_int(seed, "seed"))
-    _, results = draw_admissible(rank, rng, trials, compute)
+    _, results = draw_admissible(rank, seed, trials, compute)
     first = results[0]
     for trial, other in enumerate(results[1:], start=1):
         if other == first:

@@ -32,6 +32,20 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def test_render_report_writes_fractions_and_refuses_other_objects():
+    # json writes tuples as arrays; the one hook writes a Fraction as 'p/q'
+    # and refuses any other object instead of printing its str
+    report = {"values": {"v": (Fraction(1, 2), 3), "rows": ((1, Fraction(-2, 3)), [4])}}
+    assert json.loads(cli.render_report(report, "json")) == {
+        "values": {"v": ["1/2", 3], "rows": [[1, "-2/3"], [4]]}
+    }
+    table = cli.render_report(report, "table")
+    assert table == 'values.v = 1/2, 3\nvalues.rows = [[1, "-2/3"], [4]]'
+    for fmt, value in (("json", {1, 2}), ("table", [[1], {2}])):
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            cli.render_report({"values": {"x": value}}, fmt)
+
+
 def test_toric_report_shape(capsys):
     report = run_json(capsys, "toric", "--space", "p3", "--bundle", "O", "--nmax", "1")
     assert list(report) == ["command", "inputs", "seed", "values", "verdicts"]
@@ -167,6 +181,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys):
         ("seed=eleven\n", "config key 'seed' wants an integer, got 'eleven'"),
         ("timing=maybe\n", "config key 'timing' wants a boolean, got 'maybe'"),
         ("seed=1\nseed=2\n", "config key 'seed' given more than once"),
+        ("command=toric\ncommand=toric\n", "config key 'command' given more than once"),
         ("help=1\n", "unknown config key 'help' for toric"),
         ("config=other.cfg\n", "unknown config key 'config' for toric"),
         ("chart_index=0\n", "unknown config key 'chart_index' for toric"),
@@ -615,6 +630,88 @@ def test_malformed_vector_options_exit_1_and_name_the_value(case):
     assert (code, stdout.getvalue()) == (1, ""), err
     assert err.startswith("usage error: ") and err.count("\n") == 1, err
     assert named in err, (named, err)
+
+
+# the documented grammar on built-in spaces and rings; custom --chart atlases
+# are left out, since a one-chart P^3 atlas still exits 2
+_SPACES = ("p3", "p2xp1", "p1cubed")
+_RINGS = (*_SPACES, "quadric", "blowup-p3-conic", "pbundle-p2-1", "pbundle-p2--2",
+          "prod:2.1", "prod:1.1.1", "prod:3")
+_BUNDLES = ("O", "O1", "O,O", "O2.-1", "O1.0,O", "O1.-1.0", "O,O1.1", "O,O,O")
+_MALFORMED = ("", "x", "-1", "1.5", "O1.x", "Q1", "O,", "custom", "prod:4", "pbundle-p2-x")
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# per command: option -> (values, required); a flag takes no value when values is None
+_GRAMMAR = (
+    ("toric", {"--space": (st.sampled_from(_SPACES), True),
+              "--bundle": (st.sampled_from(_BUNDLES), False), "--rank": (_ints(1, 3), False),
+              "--nmax": (_ints(0, 2), True), "--trials": (_ints(2, 3), False)}),
+    ("vertex", {"--space": (st.sampled_from(_SPACES), True),
+               "--bundle": (st.sampled_from(_BUNDLES), False), "--rank": (_ints(1, 3), False),
+               "--nmax": (_ints(0, 2), False), "--chart-index": (_ints(0, 7), False)}),
+    ("chern", {"--space": (st.sampled_from(_RINGS), True),
+              "--bundle": (st.sampled_from(_BUNDLES), False), "--rank": (_ints(1, 3), False),
+              "--trials": (_ints(2, 3), False)}),
+    ("cobordism", {"--space": (st.sampled_from(_RINGS), True),
+                   "--bundle": (st.sampled_from(_BUNDLES), False),
+                   "--rank": (_ints(1, 3), False)}),
+    ("cobordism", {"--builtin": (st.sampled_from(sorted(chern.BUILTIN_DPRS)), True)}),
+    ("macmahon", {"--nmax": (_ints(0, 8), True), "--power": (_ints(-20, 20), False),
+                  "--negate-q": (None, False)}),
+)
+_COMMON = {"--seed": (_ints(-3, 99), False), "--timing": (None, False),
+           "--format": (st.sampled_from(("table", "json")), False)}
+
+
+@st.composite
+def documented_argv(draw):
+    """argv of one command from the documented grammar; four in seven have one part broken."""
+    command, grammar = draw(st.sampled_from(_GRAMMAR))
+    grammar = {**grammar, **_COMMON}
+    options = {
+        flag: values if values is None else draw(values)
+        for flag, (values, required) in grammar.items()
+        if required or draw(st.booleans())
+    }
+    broken = draw(st.sampled_from((None, None, None, "value", "drop", "unknown", "dangling")))
+    valued = sorted(flag for flag, value in options.items() if value is not None)
+    if broken == "value" and valued:
+        options[draw(st.sampled_from(valued))] = draw(st.sampled_from(_MALFORMED))
+    elif broken == "drop" and options:
+        del options[draw(st.sampled_from(sorted(options)))]
+    argv = [command]
+    for flag, value in options.items():
+        argv += [flag] if value is None else [flag, value]
+    if broken == "unknown":
+        argv += draw(st.sampled_from((["--bogus"], ["extra"], ["--format", "xml"], ["--rank", "1"],
+                                      ["--builtin", "quadric-dpr"], ["--chart-index", "0"])))
+    elif broken == "dangling":  # a flag that takes a value, given none
+        takes_value = [flag for flag, (values, _) in grammar.items() if values is not None]
+        argv.append(draw(st.sampled_from(takes_value)))
+    return argv
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argv=documented_argv())
+def test_every_documented_argv_keeps_the_exit_code_contract(argv):
+    # main returns, never raises; exit 1 prints nothing to stdout; on
+    # built-in spaces and rings exit 2 comes only from the naive quadric
+    # relation, and no run exits 3
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == cli.EXIT_USAGE:
+        assert out == "" and err.startswith("usage error: "), (argv, err)
+    elif code == cli.EXIT_INVARIANT:
+        naive = ("--builtin", "naive-quadric-dpr") in zip(argv, argv[1:])
+        assert argv[0] == "cobordism" and naive, (argv, err)
+    else:
+        assert code == cli.EXIT_OK and out and err == "", (argv, code, err)
 
 
 def test_cobordism_builtin_refuses_bundle_and_rank(capsys):

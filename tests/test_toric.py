@@ -625,8 +625,7 @@ def test_an_inadmissible_draw_is_drawn_again_alone(monkeypatch):
 def test_draw_admissible_redraws_only_the_named_point():
     # with no inadmissible draw the points are the first draws in order;
     # a point named 32 times ends the draws with its last failure
-    rng = random.Random(4)
-    points, values = toric.draw_admissible(2, rng, 3, lambda points: [p.s for p in points])
+    points, values = toric.draw_admissible(2, 4, 3, lambda points: [p.s for p in points])
     again = random.Random(4)
     assert points == [sample_params(2, again) for _ in range(3)]
     assert values == [p.s for p in points]
@@ -638,7 +637,7 @@ def test_draw_admissible_redraws_only_the_named_point():
         raise ZeroWeightError(f"attempt {len(failures)}", 1)
 
     with pytest.raises(ZeroWeightError) as info:
-        toric.draw_admissible(1, random.Random(4), 2, compute)
+        toric.draw_admissible(1, 4, 2, compute)
     assert str(info.value) == "no admissible parameter point after 32 draws; the last failed at attempt 32"
     assert len(failures) == 32
     assert all(points[0] == failures[0][0] for points in failures)
