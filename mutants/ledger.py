@@ -73,6 +73,20 @@ MUTANTS = (
         oracles=_OFF_DIAGONAL_ORACLES,
         pinned=("tests/test_vertex.py::test_rank_two_cross_term_factor",),
     ),
+    # the sharing key drops the color offsets: at rank 2 an antipodal chart
+    # shares its sums although its offsets keep their sign.  The vertex
+    # identity gives the two charts the same sums, so only the count of
+    # weighed columns shows it
+    Mutant(
+        "vertex.py", "flat = (*column[0], *column[1])", "flat = column[0]",
+        oracles=(),
+        pinned=(
+            "tests/test_vertex.py::test_every_column_is_weighed_without_antipodes_of_rank_one"
+            "[p1cubed-r2tw]",
+            "tests/test_vertex.py::test_every_column_is_weighed_without_antipodes_of_rank_one"
+            "[p1cubed-r2]",
+        ),
+    ),
     # the Grothendieck sign of a projective bundle's tautological class
     Mutant(
         "conventions.py", "GROTHENDIECK_SIGN = -1", "GROTHENDIECK_SIGN = 1",

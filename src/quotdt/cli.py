@@ -295,6 +295,13 @@ def _fraction_str(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _scalar_str(value) -> str:
+    """A table scalar as text: a JSON scalar by its str, anything else through _fraction_str."""
+    if value is None or isinstance(value, (str, int, float)):
+        return str(value)
+    return _fraction_str(value)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, ensure_ascii=False, default=_fraction_str)
@@ -305,12 +312,12 @@ def render_report(report: dict, fmt: str) -> str:
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else k, v)
         elif not isinstance(value, (list, tuple)):
-            lines.append(f"{prefix} = {value}")
+            lines.append(f"{prefix} = {_scalar_str(value)}")
         elif any(isinstance(v, (list, tuple, dict)) for v in value):
             nested = json.dumps(value, ensure_ascii=False, default=_fraction_str)
             lines.append(f"{prefix} = {nested}")
         else:
-            lines.append(f"{prefix} = {', '.join(map(str, value))}")
+            lines.append(f"{prefix} = {', '.join(map(_scalar_str, value))}")
 
     walk("", report)
     return "\n".join(lines)
@@ -401,8 +408,9 @@ def cmd_vertex(args) -> tuple[dict, dict, dict, int]:
         "tables": tables,
     }
     verdicts = {
-        # vertex_character raises on a nonzero constant term, so reaching
-        # this point already certifies virtual dimension zero.
+        # the formal character of every partition raises on a nonzero
+        # constant term and on a nonzero rank T(1), so reaching this point
+        # already certifies virtual dimension zero.
         "vd_zero": "PASS",
         "symmetry": _verdict(symmetric),
     }

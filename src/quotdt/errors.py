@@ -34,8 +34,20 @@ class ZeroWeightError(QuotDTError):
 class NonzeroFixedPartError(QuotDTError):
     """A virtual character has a nonzero constant term.
 
-    Virtual dimension zero means the fixed part must vanish; a violation is an
-    internal invariant failure, not a sampling accident.
+    It guards the fixed part, not the rank: a constant term would weigh zero
+    at every parameter point, so the fixed part must vanish.  The rank T(1)
+    is VirtualDimensionError's check.  A violation is an internal invariant
+    failure, not a sampling accident.
+    """
+
+
+class VirtualDimensionError(QuotDTError):
+    """A virtual character has nonzero rank T(1), its virtual dimension.
+
+    The obstruction theory has virtual dimension zero, so every fixed point's
+    character has as many positive as negative terms; chart_sums relies on it
+    to share the sums of antipodal charts.  A violation is an internal
+    invariant failure.
     """
 
 

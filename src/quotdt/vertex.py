@@ -71,6 +71,19 @@ partial sums of about the same size and it builds one Fraction per
 column and size, not one per term.  It never calls euler_inverse: both
 name a zero weight through _zero_weight, which builds the exponents of
 the first zero-weight monomial in formal order.
+
+Virtual dimension zero lets antipodal charts share one column.  The rank
+T(1) of every formal character is 0, checked with its constant term, so
+each term has as many weights on top as below and is unchanged when every
+weight flips sign.  chart_sums keys a column by its weights (w1, w2, w3,
+*offsets) or their negation, whichever is smaller; the first column with
+a key owns it, and only owned columns are weighed, multiplied and summed,
+a later one copying its owner's sums.  At rank 1 the offsets are all 0,
+so a chart and its negation, as on P1 x P1 x P1, share.  At rank 2 and
+above the offsets v_k - v_j keep their sign and nothing is shared: there
+the antipodal sums agree only through the vertex identity, which the
+engine is meant to test, not to assume.
+
 vertex_character and chart_contribution keep their process-lifetime caches.
 """
 
@@ -81,7 +94,9 @@ from functools import lru_cache
 from math import gcd, prod
 from operator import mul, sub
 
-from .errors import NonzeroFixedPartError, Record, ZeroWeightError, check_size, check_vector
+from .errors import (
+    NonzeroFixedPartError, Record, VirtualDimensionError, ZeroWeightError, check_size, check_vector,
+)
 from .partitions import ColoredPlanePartition, enum_colored
 
 Vec3 = tuple[int, int, int]
@@ -237,6 +252,9 @@ def _formal_character(cpp: ColoredPlanePartition):
         else:
             continue
         terms[code] = c
+    if len(num) != len(den):
+        # T(1) = len(den) - len(num) is the rank of T, the virtual dimension
+        raise VirtualDimensionError(f"virtual character of rank {len(den) - len(num)}, not 0")
     return terms, num, den
 
 
@@ -400,6 +418,14 @@ def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]
     has one; its message names the first partition with a zero weight
     there, its first such chart by position in charts, n and, through
     _zero_weight as in euler_inverse, the first zero monomial.
+
+    A column whose weights, offsets included, equal or negate those of an
+    earlier column is not weighed: it copies that owner's sums.  Every
+    term has as many weights on top as below (_formal_character checks
+    the rank T(1) = 0), so flipping every sign leaves it unchanged.  At
+    rank 1 this shares antipodal charts; at higher rank the offsets keep
+    their sign.  An owner has its copies' zeros and comes before them, so
+    every zero-weight message is that of the unshared pass.
     """
     check_size(nmax, "nmax")
     charts = list(charts)  # read several times below, so a one-shot iterable is taken once
@@ -410,10 +436,23 @@ def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]
     columns = [chart_weights(chart, params) for params in points for chart in charts]
     if not columns:
         return [[[] for _ in range(nmax)] for _ in points]
+    # owner[col] is the position in owned of the first column whose weights
+    # are col's or their negation; every term has as many codes on top as
+    # below, so the two have the same sums
+    owned = []
+    owner = []
+    keys: dict[tuple[int, ...], int] = {}
+    for column in columns:
+        flat = (*column[0], *column[1])
+        key = min(flat, tuple(-w for w in flat))
+        if key not in keys:
+            keys[key] = len(owned)
+            owned.append(column)
+        owner.append(keys[key])
     # for a term with no codes zip(*map(get, num)) would yield no column at
     # all; a leading ones tuple keeps one product per column, 1 there as in
     # euler_inverse
-    ones = (1,) * len(columns)
+    ones = (1,) * len(owned)
     stack: dict[int, tuple[int, ...]] = {}
     get = stack.__getitem__
     sums = [[] for _ in points]
@@ -425,12 +464,13 @@ def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]
         ]
         codes = list(set().union(*(chars[0].formal[0] for chars in characters)).difference(stack))
         digits = list(map(_unpack, codes))
-        weights = [_weigh(column, digits) for column in columns]
+        weights = [_weigh(column, digits) for column in owned]
         if any(0 in column for column in weights):
-            # every new code belongs to a partition of this size, so one fails
-            point = next(col for col, column in enumerate(weights) if 0 in column) // width
-            zeros = [{code for code, w in zip(codes, column) if not w}
-                     for column in weights[point * width:(point + 1) * width]]
+            # every new code belongs to a partition of this size, so one
+            # fails; a column has the zeros of its owner
+            point = next(col for col, slot in enumerate(owner) if 0 in weights[slot]) // width
+            zeros = [{code for code, w in zip(codes, weights[slot]) if not w}
+                     for slot in owner[point * width:(point + 1) * width]]
             i, char = next((i, char) for chars in characters for i, char in enumerate(chars)
                            if not zeros[i].isdisjoint(char.formal[0]))
             raise ZeroWeightError(f"chart {i}, n={n}: {_zero_weight(char, zeros[i])}", point)
@@ -441,7 +481,7 @@ def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]
             _, num, den = chars[0].formal
             tops.append(tuple(map(prod, zip(ones, *map(get, num)))))
             bottoms.append(tuple(map(prod, zip(ones, *map(get, den)))))
-        row = []
+        owned_row = []
         for col_tops, col_bottoms in zip(zip(*tops), zip(*bottoms)):
             pairs = list(zip(col_tops, col_bottoms))
             while len(pairs) > 1:
@@ -451,7 +491,8 @@ def chart_sums(charts, rank: int, nmax: int, points) -> list[list[list[Fraction]
                     (n1 * (d2 // (g := gcd(d1, d2))) + n2 * (d1 // g), d1 // g * d2)
                     for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2])
                 ] + odd
-            row.append(Fraction(*pairs[0]))
+            owned_row.append(Fraction(*pairs[0]))
+        row = [owned_row[slot] for slot in owner]
         for p, point_sums in enumerate(sums):
             point_sums.append(row[p * width:(p + 1) * width])
     return sums

@@ -34,16 +34,20 @@ def run_json(capsys, *argv):
 
 def test_render_report_writes_fractions_and_refuses_other_objects():
     # json writes tuples as arrays; the one hook writes a Fraction as 'p/q'
-    # and refuses any other object instead of printing its str
+    # and refuses any other object instead of printing its str, also as a
+    # table scalar or in a flat row, which once printed it
     report = {"values": {"v": (Fraction(1, 2), 3), "rows": ((1, Fraction(-2, 3)), [4])}}
     assert json.loads(cli.render_report(report, "json")) == {
         "values": {"v": ["1/2", 3], "rows": [[1, "-2/3"], [4]]}
     }
     table = cli.render_report(report, "table")
     assert table == 'values.v = 1/2, 3\nvalues.rows = [[1, "-2/3"], [4]]'
-    for fmt, value in (("json", {1, 2}), ("table", [[1], {2}])):
-        with pytest.raises(TypeError, match="set is not JSON serializable"):
-            cli.render_report({"values": {"x": value}}, fmt)
+    scalars = {"s": "s", "b": True, "none": None, "f": 0.5, "q": Fraction(-2, 3)}
+    assert cli.render_report(scalars, "table") == "s = s\nb = True\nnone = None\nf = 0.5\nq = -2/3"
+    for value in ({1, 2}, [[1], {2}], (1, {2}), [Fraction(1, 2), {3}]):
+        for fmt in ("json", "table"):
+            with pytest.raises(TypeError, match="set is not JSON serializable"):
+                cli.render_report({"values": {"x": value}}, fmt)
 
 
 def test_toric_report_shape(capsys):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quotdt import cli, vertex
-from quotdt.errors import NonzeroFixedPartError, ZeroWeightError
+from quotdt.errors import NonzeroFixedPartError, VirtualDimensionError, ZeroWeightError
 from quotdt.partitions import ColoredPlanePartition, EMPTY_PLANE_PARTITION, PlanePartition, enum_colored
 from quotdt.toric import builtin_space, chart_of, split_bundle, trivial_bundle
 from quotdt.vertex import (
@@ -300,19 +300,26 @@ def test_params_validation():
     assert EquivParams([1, 2, 3], [4]) == EquivParams((1, 2, 3), (4,))
 
 
-def test_fixed_part_is_refused_before_any_chart(monkeypatch):
-    # a chart character cannot carry a fixed part: the formal character
-    # refuses a nonzero constant term, and euler_inverse takes nothing else
+def _with_extra_terms(monkeypatch, extra):
+    """Patch _pair_terms to add the formal monomials of extra, {(x, y, z): c}, to every pair."""
     pair_terms = vertex._pair_terms
 
-    def with_constant(acc, codes_j, codes_k, qp_k, pair):
-        # one more term t^(0, 0, 0), with coefficient +1, in every pair
+    def with_extra(acc, codes_j, codes_k, qp_k, pair):
         pair_terms(acc, codes_j, codes_k, qp_k, pair)
-        code = _pack(pair, 0, 0, 0)
-        acc[code] = acc.get(code, 0) + 1
+        for exps, c in extra.items():
+            code = _pack(pair, *exps)
+            acc[code] = acc.get(code, 0) + c
 
-    monkeypatch.setattr(vertex, "_pair_terms", with_constant)
+    monkeypatch.setattr(vertex, "_pair_terms", with_extra)
+    vertex_character.cache_clear()
     _formal_character.cache_clear()
+
+
+def test_fixed_part_is_refused_before_any_chart(monkeypatch):
+    # a chart character cannot carry a fixed part: the formal character
+    # refuses a nonzero constant term, and euler_inverse takes nothing else.
+    # One more term t^(0, 0, 0) in every pair:
+    _with_extra_terms(monkeypatch, {(0, 0, 0): 1})
     with pytest.raises(NonzeroFixedPartError, match="constant term 1 in virtual character"):
         vertex_character.__wrapped__(one_box(), std_chart())
     with pytest.raises(TypeError, match="chart character"):
@@ -320,19 +327,10 @@ def test_fixed_part_is_refused_before_any_chart(monkeypatch):
 
 
 def test_asymmetric_character_fails_the_symmetry_check(monkeypatch, capsys):
-    # one more term t1, with coefficient +1, in every pair breaks
-    # T = -kappa^-1 dual(T); symmetry_defect names both unmatched terms and
-    # the vertex command reports FAIL with exit 2
-    pair_terms = vertex._pair_terms
-
-    def with_t1(acc, codes_j, codes_k, qp_k, pair):
-        pair_terms(acc, codes_j, codes_k, qp_k, pair)
-        code = _pack(pair, 1, 0, 0)
-        acc[code] = acc.get(code, 0) + 1
-
-    monkeypatch.setattr(vertex, "_pair_terms", with_t1)
-    vertex_character.cache_clear()
-    _formal_character.cache_clear()
+    # one more rank-zero pair t1 - t2 in every pair breaks
+    # T = -kappa^-1 dual(T); symmetry_defect names the four unmatched terms
+    # and the vertex command reports FAIL with exit 2
+    _with_extra_terms(monkeypatch, {(1, 0, 0): 1, (0, 1, 0): -1})
     try:
         defect = symmetry_defect(vertex_character(one_box(), std_chart()))
         code = cli.main(["vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0"])
@@ -340,9 +338,29 @@ def test_asymmetric_character_fails_the_symmetry_check(monkeypatch, capsys):
         # no character built from the broken terms may outlive the patch
         vertex_character.cache_clear()
         _formal_character.cache_clear()
-    assert defect == {(1, 0, 0, 0): 1, (-2, -1, -1, 0): 1}
+    assert defect == {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1, (-2, -1, -1, 0): 1, (-1, -2, -1, 0): -1}
     assert code == 2
     assert json.loads(capsys.readouterr().out)["verdicts"]["symmetry"] == "FAIL"
+
+
+def test_a_character_of_nonzero_rank_is_refused(monkeypatch, capsys):
+    # one more term t1 in every pair gives T(1) = rank, not 0: the formal
+    # character refuses it, before any chart shares its sums with another,
+    # and the vertex command exits 2
+    _with_extra_terms(monkeypatch, {(1, 0, 0): 1})
+    try:
+        for rank in (1, 2):
+            with pytest.raises(VirtualDimensionError,
+                               match=f"^virtual character of rank {rank ** 2}, not 0$"):
+                vertex_character.__wrapped__(one_box(rank), std_chart(rank))
+        code = cli.main(["vertex", "--space", "p3", "--nmax", "1", "--chart-index", "0"])
+    finally:
+        vertex_character.cache_clear()
+        _formal_character.cache_clear()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "virtual character of rank 1, not 0" in captured.err
 
 
 def test_chart_contribution_sums_over_fixed_points():
@@ -567,6 +585,79 @@ def test_chart_sums_unpack_each_code_once_and_weigh_exactly_the_characters_codes
             for char in chars:
                 for code, exps in zip(char.formal[0], chart_terms(char)):
                     assert table[code] == sum(map(mul, exps, values))
+
+
+def _weighed_columns(monkeypatch) -> list:
+    """Record the weights of every column that _weigh is called on."""
+    weighed = []
+    weigh = vertex._weigh
+    monkeypatch.setattr(vertex, "_weigh",
+                        lambda weights, digits: weighed.append(weights) or weigh(weights, digits))
+    return weighed
+
+
+@pytest.mark.parametrize("twists", [None, [(1, 0, -1)]], ids=["O", "O1.0.-1"])
+def test_antipodal_charts_share_one_column_at_rank_one(monkeypatch, twists):
+    # p1cubed's charts 4..7 are charts 3..0 negated.  At rank 1 each column's
+    # weights are then its antipode's negated, and a term has as many
+    # weights on top as below, so only charts 0..3 are weighed at each point
+    weighed = _weighed_columns(monkeypatch)
+    space = builtin_space("p1cubed")
+    bundle = trivial_bundle(space) if twists is None else split_bundle(space, twists)
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    assert [c.tangent for c in charts[4:]] == [
+        tuple(tuple(-x for x in a) for a in c.tangent) for c in reversed(charts[:4])]
+    points = [EquivParams(s=(7, 19, 53), v=(101,)), EquivParams(s=(-29, 5, 211), v=(17,))]
+    nmax = 4
+    sums = chart_sums(charts, 1, nmax, points)
+    assert weighed == [chart_weights(chart, p) for p in points for chart in charts[:4]] * nmax
+    for point, rows in zip(points, sums):
+        for i, chart in enumerate(charts):
+            alone = chart_sums([chart], 1, nmax, [point])[0]
+            assert [row[i] for row in rows] == [row[0] for row in alone]
+    assert sums[0] == _per_term_rows(charts, 1, nmax, points[0])
+
+
+@pytest.mark.parametrize("name, twists", [
+    ("p1cubed", TWISTS["p1cubed"][1]),
+    ("p1cubed", ((0, 0, 0), (0, 0, 0))),
+    ("p3", (0,)),
+    ("p3", TWISTS["p3"][1]),
+    ("p2xp1", ((0, 0),)),
+    ("p2xp1", TWISTS["p2xp1"][1]),
+], ids=["p1cubed-r2tw", "p1cubed-r2", "p3-r1", "p3-r2tw", "p2xp1-r1", "p2xp1-r2tw"])
+def test_every_column_is_weighed_without_antipodes_of_rank_one(monkeypatch, name, twists):
+    # at rank 2 the color offsets v_k - v_j of an antipodal chart keep their
+    # sign, so its weights are not the negation of any column's; p3 and
+    # p2xp1 have no antipodal charts
+    weighed = _weighed_columns(monkeypatch)
+    space = builtin_space(name)
+    bundle = split_bundle(space, twists)
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    r = bundle.rank
+    points = [EquivParams(s=(7, 19, 53), v=(101, 331)[:r]), EquivParams(s=(-29, 5, 211), v=(17, -443)[:r])]
+    nmax = 3
+    chart_sums(charts, r, nmax, points)
+    assert weighed == [chart_weights(chart, p) for p in points for chart in charts] * nmax
+
+
+@pytest.mark.parametrize("twists, points, point, message", [
+    (None, [((3, 5, 7), (1,)), ((2, -2, 9), (4,))], 1,
+     "chart 0, n=1: monomial (-1, -1, 0, 0) has weight zero"),
+    (None, [((4, 6, -5), (0,))], 0, "chart 2, n=3: monomial (-1, -1, -2, 0) has weight zero"),
+    ([(1, 0, -1)], [((11, 13, 17), (2,)), ((3, -1, 5), (7,))], 1,
+     "chart 0, n=3: monomial (-1, -3, 0, 0) has weight zero"),
+])
+def test_shared_columns_name_the_same_zero_weight(twists, points, point, message):
+    # the first column with a zero weight, point-major, is the first of its
+    # antipodal pair, so sharing leaves every message as it was
+    space = builtin_space("p1cubed")
+    bundle = trivial_bundle(space) if twists is None else split_bundle(space, twists)
+    charts = [chart_of(space, bundle, ci) for ci in range(space.num_charts)]
+    with pytest.raises(ZeroWeightError) as got:
+        chart_sums(charts, 1, 4, [EquivParams(*p) for p in points])
+    assert (got.value.point, str(got.value)) == (point, message)
+    assert str(got.value) == _first_zero_by_euler_inverse(charts, 1, 4, EquivParams(*points[point]))
 
 
 def test_euler_inverse_weighs_the_characters_codes_into_its_own_table(monkeypatch):
